@@ -3,8 +3,7 @@
 
 use crate::wire::{encode_tag, MsgKind, WireSend, CMD_HEADER_BYTES};
 use net_sim::FlowId;
-use sim_engine::SimTime;
-use std::collections::HashMap;
+use sim_engine::{FastMap, SimTime};
 use workload::{IoType, Request};
 
 /// A completed request as observed at the Initiator.
@@ -32,7 +31,7 @@ struct PendingReq {
 /// spread across several Targets; the caller supplies the per-request
 /// outbound flow.
 pub struct InitiatorProto {
-    pending: HashMap<u64, PendingReq>,
+    pending: FastMap<u64, PendingReq>,
     issued: u64,
 }
 
@@ -40,7 +39,7 @@ impl InitiatorProto {
     /// Fresh driver.
     pub fn new() -> Self {
         InitiatorProto {
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             issued: 0,
         }
     }

@@ -3,8 +3,7 @@
 
 use crate::wire::{encode_tag, MsgKind, WireSend, CMD_HEADER_BYTES};
 use net_sim::FlowId;
-use sim_engine::SimTime;
-use std::collections::HashMap;
+use sim_engine::{FastMap, SimTime};
 use workload::{IoType, Request};
 
 /// What the Target should hand to its storage stack.
@@ -24,7 +23,7 @@ struct PendingCmd {
 
 /// Target-side protocol state for one Target host.
 pub struct TargetProto {
-    pending: HashMap<u64, PendingCmd>,
+    pending: FastMap<u64, PendingCmd>,
     /// Completed write requests observed at the Target `(id, size, at)` —
     /// the paper measures write throughput here.
     writes_completed: u64,
@@ -35,7 +34,7 @@ impl TargetProto {
     /// Fresh driver.
     pub fn new() -> Self {
         TargetProto {
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             writes_completed: 0,
             write_bytes_completed: 0,
         }

@@ -18,7 +18,8 @@
 //!   class, preserving the demanded weight ratio.
 
 use crate::{FetchDecision, QueueDiscipline};
-use std::collections::{HashMap, VecDeque};
+use sim_engine::FastMap;
+use std::collections::VecDeque;
 use workload::{IoType, Request};
 
 /// Which physical queue a command waits in.
@@ -41,9 +42,9 @@ pub struct SsqQueues {
     outstanding_r: usize,
     outstanding_w: usize,
     /// sector -> id of the most recent *waiting* command touching it.
-    sector_owner: HashMap<u64, u64>,
+    sector_owner: FastMap<u64, u64>,
     /// id -> queue, for commands still waiting.
-    waiting: HashMap<u64, Sq>,
+    waiting: FastMap<u64, Sq>,
     /// Fetch counters per class (for tests/metrics).
     fetched_r: u64,
     fetched_w: u64,
@@ -78,8 +79,8 @@ impl SsqQueues {
             tokens_w: w,
             outstanding_r: 0,
             outstanding_w: 0,
-            sector_owner: HashMap::new(),
-            waiting: HashMap::new(),
+            sector_owner: FastMap::default(),
+            waiting: FastMap::default(),
             fetched_r: 0,
             fetched_w: 0,
             free_fetches: 0,

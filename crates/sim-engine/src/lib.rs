@@ -18,6 +18,10 @@
 //!   engine every experiment grid executes on, and [`telemetry`] —
 //!   deterministic probes, sinks (including the streaming
 //!   [`FileSink`]), and JSON-lines export.
+//! * [`arrivals`] — [`ArrivalCursor`], which streams an arrival-sorted
+//!   stimulus list into an event loop in the exact order pre-scheduling
+//!   it would pop, and [`fastmap`] — [`FastMap`], the deterministic
+//!   integer-keyed hash map of the per-event paths.
 //! * [`faults`] — the seeded, deterministic fault-injection vocabulary
 //!   ([`FaultPlan`], [`FaultEvent`]) the simulators interpret; an empty
 //!   plan injects nothing and changes nothing.
@@ -39,7 +43,9 @@
 //! assert_eq!((t, ev), (SimTime::from_us(1), "first"));
 //! ```
 
+pub mod arrivals;
 pub mod checkpoint;
+pub mod fastmap;
 pub mod faults;
 pub mod queue;
 pub mod rate;
@@ -52,7 +58,9 @@ pub mod time;
 pub mod token_bucket;
 pub mod workspace;
 
+pub use arrivals::ArrivalCursor;
 pub use checkpoint::{CheckpointSpec, CHECKPOINT_ENV};
+pub use fastmap::FastMap;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRng, FaultScope};
 pub use queue::{AdaptiveEventQueue, EventQueue, HeapEventQueue, ADAPTIVE_MIGRATION_THRESHOLD};
 pub use rate::{ByteSize, Rate};

@@ -2,7 +2,7 @@
 //! translations. A miss costs an extra mapping-page read on the target
 //! chip (the dominant CMT effect MQSim models).
 
-use std::collections::HashMap;
+use sim_engine::FastMap;
 
 /// LRU translation cache keyed by logical page number.
 ///
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 pub struct CachedMappingTable {
     capacity: usize,
     stamp: u64,
-    entries: HashMap<u64, u64>,
+    entries: FastMap<u64, u64>,
     hits: u64,
     misses: u64,
 }
@@ -24,7 +24,7 @@ impl CachedMappingTable {
         CachedMappingTable {
             capacity,
             stamp: 0,
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            entries: FastMap::default(),
             hits: 0,
             misses: 0,
         }

@@ -12,7 +12,7 @@
 //! "where does this write land" and "what GC work is now owed"; the SSD
 //! model turns the owed work into timed chip jobs.
 
-use std::collections::HashMap;
+use sim_engine::FastMap;
 
 /// A physical page address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -39,16 +39,18 @@ pub struct GcWork {
 struct Block {
     /// Next unwritten page index (== pages_per_block when full).
     cursor: usize,
-    /// Which LPN each written page holds; `None` = invalidated.
+    /// Which LPN each written page holds; `None` = invalidated. Empty
+    /// until the block is first opened for writing: most blocks of a
+    /// device are never written in a run, so they never pay for it.
     holder: Vec<Option<u64>>,
     valid: usize,
 }
 
 impl Block {
-    fn new(pages: usize) -> Self {
+    fn new() -> Self {
         Block {
             cursor: 0,
-            holder: vec![None; pages],
+            holder: Vec::new(),
             valid: 0,
         }
     }
@@ -71,7 +73,7 @@ struct ChipState {
 pub struct Ftl {
     pages_per_block: usize,
     chips: Vec<ChipState>,
-    map: HashMap<u64, Ppn>,
+    map: FastMap<u64, Ppn>,
     /// Round-robin write-striping cursor.
     write_cursor: usize,
     /// Free-block low-watermark per chip that triggers GC.
@@ -104,9 +106,7 @@ impl Ftl {
         );
         let chips = (0..n_chips)
             .map(|_| ChipState {
-                blocks: (0..blocks_per_chip)
-                    .map(|_| Block::new(pages_per_block))
-                    .collect(),
+                blocks: (0..blocks_per_chip).map(|_| Block::new()).collect(),
                 open: 0,
                 free: (1..blocks_per_chip).rev().collect(),
             })
@@ -114,7 +114,7 @@ impl Ftl {
         Ftl {
             pages_per_block,
             chips,
-            map: HashMap::new(),
+            map: FastMap::default(),
             write_cursor: 0,
             gc_free_blocks,
             host_programs: 0,
@@ -165,6 +165,9 @@ impl Ftl {
             chip.open = next;
         }
         let block = &mut chip.blocks[chip.open];
+        if block.holder.is_empty() {
+            block.holder = vec![None; ppb];
+        }
         let page = block.cursor;
         block.cursor += 1;
         block.holder[page] = Some(lpn);
@@ -349,6 +352,26 @@ mod tests {
         }
         f.check_invariants();
         assert!(f.write_amplification() >= 1.0);
+    }
+
+    #[test]
+    fn only_opened_blocks_hold_page_storage() {
+        let mut f = small();
+        let allocated = |f: &Ftl| {
+            f.chips
+                .iter()
+                .flat_map(|c| &c.blocks)
+                .filter(|b| !b.holder.is_empty())
+                .count()
+        };
+        assert_eq!(allocated(&f), 0, "a fresh device allocates no pages");
+        // Striping puts 17 pages on each of the 4 chips: block 0 fills
+        // (16 pages) and the 17th page opens a second block per chip.
+        for i in 0..17 * 4 {
+            f.allocate(i);
+        }
+        assert_eq!(allocated(&f), 4 + 4);
+        f.check_invariants();
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::cache::WriteCache;
 use crate::cmt::CachedMappingTable;
 use crate::config::SsdConfig;
 use crate::ftl::Ftl;
-use sim_engine::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use sim_engine::{FastMap, SimDuration, SimTime};
+use std::collections::VecDeque;
 use workload::IoType;
 
 /// A command as delivered by the NVMe driver to the device.
@@ -195,7 +195,7 @@ pub struct Ssd {
     cfg: SsdConfig,
     chips: Vec<ChipState>,
     channels: Vec<ChannelState>,
-    commands: HashMap<u64, CmdState>,
+    commands: FastMap<u64, CmdState>,
     cmt: CachedMappingTable,
     cache: WriteCache,
     ftl: Ftl,
@@ -243,7 +243,7 @@ impl Ssd {
                     busy_ps: 0,
                 })
                 .collect(),
-            commands: HashMap::new(),
+            commands: FastMap::default(),
             cmt,
             cache,
             ftl,

@@ -4,11 +4,10 @@
 use crate::node::{NodeConfig, StorageNode};
 use crate::report::NodeReport;
 use sim_engine::{
-    AdaptiveEventQueue, NullSink, Scratch, SimDuration, SimTime, SimWorkspace, TraceRecord,
-    TraceSink,
+    AdaptiveEventQueue, ArrivalCursor, FastMap, NullSink, Scratch, SimDuration, SimTime,
+    SimWorkspace, TraceRecord, TraceSink,
 };
 use ssd_sim::SsdEvent;
-use std::collections::HashMap;
 use workload::{IoType, Trace};
 
 /// Bin width used for runtime throughput series (the paper plots per
@@ -30,7 +29,7 @@ enum Ev {
 struct TraceScratch {
     queue: AdaptiveEventQueue<Ev>,
     step: ssd_sim::SsdStep,
-    submit_time: HashMap<u64, SimTime>,
+    submit_time: FastMap<u64, SimTime>,
 }
 
 impl Scratch for TraceScratch {
@@ -140,14 +139,20 @@ fn run_trace_impl(
     } = scratch;
     let mut report = NodeReport::new(BIN);
 
-    for (i, r) in trace.requests().iter().enumerate() {
-        q.schedule(r.arrival, Ev::Arrival(i));
-    }
+    // Arrivals stream from the (time-ordered) trace; only the weight
+    // schedule and device events go through the queue.
+    let mut arrivals = ArrivalCursor::new(
+        trace
+            .requests()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.arrival, i)),
+    );
     for &(t, w) in weight_schedule {
         q.schedule(t, Ev::SetWeight(w));
     }
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, ev)) = arrivals.pop(&mut *q, Ev::Arrival) {
         if let Some(h) = horizon {
             if now > h {
                 break;
@@ -334,6 +339,158 @@ mod tests {
         let mut sink2 = RingSink::new(1 << 16);
         let _ = run_trace_windowed_with_schedule(&NodeConfig::default(), &t, &schedule, &mut sink2);
         assert_eq!(rep.to_json_lines(), sink2.into_report().to_json_lines());
+    }
+
+    /// The pre-streaming runner, kept as the oracle for
+    /// [`run_trace_impl`]: every arrival pre-scheduled on the queue,
+    /// SipHash maps. Also returns how many arrivals shared their
+    /// timestamp with a device or weight event, so the test can show its
+    /// trace exercises the tie-breaking rule.
+    fn prescheduled_run(
+        cfg: &NodeConfig,
+        trace: &Trace,
+        weight_schedule: &[(SimTime, u32)],
+        horizon: Option<SimTime>,
+    ) -> (NodeReport, usize) {
+        use std::collections::{HashMap, HashSet};
+        let mut node = StorageNode::new(cfg);
+        let mut q = AdaptiveEventQueue::new();
+        let mut step = ssd_sim::SsdStep::default();
+        let mut submit_time: HashMap<u64, SimTime> = HashMap::new();
+        let mut report = NodeReport::new(BIN);
+        let mut other_times = HashSet::new();
+        for (i, r) in trace.requests().iter().enumerate() {
+            q.schedule(r.arrival, Ev::Arrival(i));
+        }
+        for &(t, w) in weight_schedule {
+            q.schedule(t, Ev::SetWeight(w));
+        }
+        while let Some((now, ev)) = q.pop() {
+            if horizon.is_some_and(|h| now > h) {
+                break;
+            }
+            step.clear();
+            match ev {
+                Ev::Arrival(i) => {
+                    let r = trace.requests()[i];
+                    submit_time.insert(r.id, now);
+                    node.submit_into(r, now, &mut step);
+                }
+                Ev::Ssd(e) => {
+                    other_times.insert(now);
+                    node.on_ssd_event_into(e, now, &mut step);
+                }
+                Ev::SetWeight(w) => {
+                    other_times.insert(now);
+                    node.set_weight_ratio(w);
+                    report.weight_changes.push((now, w));
+                    node.pump_into(now, &mut step);
+                }
+            }
+            for c in &step.completions {
+                let lat = submit_time
+                    .remove(&c.id)
+                    .map(|t0| c.at.since(t0).as_us_f64())
+                    .unwrap_or(0.0);
+                let (count, bytes, series, latency) = match c.op {
+                    IoType::Read => (
+                        &mut report.reads_completed,
+                        &mut report.read_bytes,
+                        &mut report.read_series,
+                        &mut report.read_latency_us,
+                    ),
+                    IoType::Write => (
+                        &mut report.writes_completed,
+                        &mut report.write_bytes,
+                        &mut report.write_series,
+                        &mut report.write_latency_us,
+                    ),
+                };
+                *count += 1;
+                *bytes += c.size;
+                series.add(c.at, c.size as f64);
+                latency.push(lat);
+                report.makespan = report.makespan.max(c.at.since(SimTime::ZERO));
+            }
+            for &(t, e) in &step.schedule {
+                q.schedule(t, Ev::Ssd(e));
+            }
+        }
+        if let Some(h) = horizon {
+            report.makespan = h.since(SimTime::ZERO);
+        }
+        report.ssd = node.ssd().stats();
+        let ties = trace
+            .requests()
+            .iter()
+            .filter(|r| other_times.contains(&r.arrival))
+            .count();
+        (report, ties)
+    }
+
+    fn assert_same_report(a: &NodeReport, b: &NodeReport) {
+        use serde::Serialize;
+        assert_eq!(a.read_series.bins(), b.read_series.bins());
+        assert_eq!(a.write_series.bins(), b.write_series.bins());
+        assert_eq!(a.read_latency_us.to_value(), b.read_latency_us.to_value());
+        assert_eq!(a.write_latency_us.to_value(), b.write_latency_us.to_value());
+        assert_eq!(
+            (a.reads_completed, a.writes_completed),
+            (b.reads_completed, b.writes_completed)
+        );
+        assert_eq!((a.read_bytes, a.write_bytes), (b.read_bytes, b.write_bytes));
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.weight_changes, b.weight_changes);
+        assert_eq!(format!("{:?}", a.ssd), format!("{:?}", b.ssd));
+    }
+
+    #[test]
+    fn streamed_arrivals_match_the_prescheduled_oracle() {
+        // SSD-A's cell latencies are whole microseconds, so integer-µs
+        // arrivals (several per timestamp) tie with chip completions and
+        // with the millisecond weight steps.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let requests = (0..3_000u64)
+            .map(|id| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                workload::Request {
+                    id,
+                    op: if x.is_multiple_of(2) {
+                        IoType::Read
+                    } else {
+                        IoType::Write
+                    },
+                    lba: (x >> 8) % (1 << 20),
+                    size: 4_096 * (1 + (x >> 40) % 12),
+                    arrival: SimTime::from_us(id / 3 * 5),
+                }
+            })
+            .collect();
+        let trace = Trace::from_requests(requests);
+        let cfg = NodeConfig {
+            ssd: ssd_sim::SsdConfig::ssd_a(),
+            ..NodeConfig::default()
+        };
+        let schedule: Vec<(SimTime, u32)> = [(1, 4), (2, 1), (3, 8), (4, 2)]
+            .iter()
+            .map(|&(ms, w)| (SimTime::from_ms(ms), w))
+            .collect();
+        for horizon in [Some(trace.span()), None] {
+            let (oracle, ties) = prescheduled_run(&cfg, &trace, &schedule, horizon);
+            assert!(ties > 0, "the trace must tie arrivals with other events");
+            let streamed = run_trace_impl(
+                &cfg,
+                &trace,
+                &schedule,
+                horizon,
+                &mut SimWorkspace::new(),
+                &mut NullSink,
+            );
+            assert_same_report(&streamed, &oracle);
+            assert_eq!(streamed.weight_changes.len(), schedule.len());
+        }
     }
 
     #[test]

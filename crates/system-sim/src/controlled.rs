@@ -6,7 +6,7 @@
 //! reactive stepper needs one control period per weight step, while the
 //! TPM controller jumps straight to Algorithm 1's answer.
 
-use sim_engine::{EventQueue, SimDuration, SimTime, TimeBinSeries};
+use sim_engine::{AdaptiveEventQueue, ArrivalCursor, SimDuration, SimTime, TimeBinSeries};
 use src_core::algorithm::CongestionEvent;
 use src_core::reactive::RateController;
 use src_core::WorkloadMonitor;
@@ -93,10 +93,14 @@ pub fn run_controlled(
         settle_ms: vec![f64::NAN; events.len()],
     };
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, r) in trace.requests().iter().enumerate() {
-        q.schedule(r.arrival, Ev::Arrival(i));
-    }
+    let mut q: AdaptiveEventQueue<Ev> = AdaptiveEventQueue::new();
+    let mut arrivals = ArrivalCursor::new(
+        trace
+            .requests()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.arrival, i)),
+    );
     for (i, e) in events.iter().enumerate() {
         q.schedule(e.at, Ev::Event(i));
     }
@@ -105,7 +109,7 @@ pub fn run_controlled(
     let horizon = trace.span();
     let mut demanded: Option<(usize, f64)> = None; // (event idx, gbps)
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, ev)) = arrivals.pop(&mut q, Ev::Arrival) {
         if now > horizon {
             break;
         }

@@ -9,12 +9,11 @@ use net_sim::topology::{build_clos, build_star, NodeId};
 use net_sim::FlowId;
 use serde::{Deserialize, Serialize};
 use sim_engine::{
-    AdaptiveEventQueue, FaultKind, FaultPlan, FaultScope, Scratch, SimDuration, SimTime,
-    SimWorkspace, TraceRecord, TraceSink,
+    AdaptiveEventQueue, ArrivalCursor, FastMap, FaultKind, FaultPlan, FaultScope, Scratch,
+    SimDuration, SimTime, SimWorkspace, TraceRecord, TraceSink,
 };
 use src_core::{PredictionCache, SrcController, ThroughputPredictionModel};
 use ssd_sim::SsdEvent;
-use std::collections::HashMap;
 use std::sync::Arc;
 use storage_node::{DisciplineKind, NodeConfig, StorageNode};
 use workload::IoType;
@@ -414,7 +413,7 @@ fn run_system_inner(
 
     // Flows: a bidirectional pair per (initiator, target).
     let mut out_flows = vec![vec![FlowId(usize::MAX); cfg.n_targets]; cfg.n_initiators];
-    let mut flow_roles: HashMap<FlowId, FlowRole> = HashMap::new();
+    let mut flow_roles: FastMap<FlowId, FlowRole> = FastMap::default();
     let mut targets: Vec<TargetState> = Vec::with_capacity(cfg.n_targets);
     for (t_idx, &th) in tgt_hosts.iter().enumerate() {
         let discipline = match cfg.mode {
@@ -501,9 +500,15 @@ fn run_system_inner(
     }
 
     let mut report = SystemReport::new(cfg.n_targets);
-    for (i, a) in assignments.iter().enumerate() {
-        q.schedule(a.request.arrival, Ev::Issue(i));
-    }
+    // Issues stream from the assignment list in arrival order (stable,
+    // so equal arrivals keep list order) instead of being pre-scheduled.
+    let mut issue_order: Vec<usize> = (0..assignments.len()).collect();
+    issue_order.sort_by_key(|&i| assignments[i].request.arrival);
+    let mut issues = ArrivalCursor::new(
+        issue_order
+            .into_iter()
+            .map(|i| (assignments[i].request.arrival, i)),
+    );
     if let Some(bg) = &cfg.background {
         for s in 0..bg.n_sources {
             q.schedule(bg.start, Ev::Background { src: s });
@@ -552,7 +557,7 @@ fn run_system_inner(
     // Targets currently in a dropout window: commands vanish on
     // arrival and replies are lost.
     let mut dropped: Vec<bool> = vec![false; cfg.n_targets];
-    let tgt_host_index: HashMap<NodeId, usize> =
+    let tgt_host_index: FastMap<NodeId, usize> =
         tgt_hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
 
     // The workspace's scratch buffers drive the hot loop: each event
@@ -561,7 +566,7 @@ fn run_system_inner(
     // `ssd_scheds` keeps its LIFO processing order while `ssd_pool`
     // recycles the drained step buffers, so the steady state allocates
     // nothing per event — and across reused runs, not even at startup.
-    while let Some((now, ev)) = q.pop() {
+    while let Some((now, ev)) = issues.pop(&mut *q, Ev::Issue) {
         if finished + abandoned >= total {
             break;
         }

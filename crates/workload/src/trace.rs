@@ -8,9 +8,18 @@ use sim_engine::{SimDuration, SimTime};
 use std::io::{BufRead, Write as IoWrite};
 
 /// A time-ordered I/O trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Trace {
     requests: Vec<Request>,
+}
+
+/// Deserialization goes through [`Trace::from_requests`], so a trace read
+/// from a config or JSON document is time-ordered like every other one
+/// (`span`, `window` and the simulators' arrival streams rely on it).
+impl Deserialize for Trace {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Trace::from_requests(serde::field(v, "requests")?))
+    }
 }
 
 /// Summary statistics of one I/O class within a trace.
@@ -296,6 +305,28 @@ mod tests {
         assert_eq!(t2.requests()[1].op, IoType::Write);
         // Garbage input errors.
         assert!(Trace::read_jsonl(std::io::Cursor::new(b"not json\n".to_vec())).is_err());
+    }
+
+    #[test]
+    fn deserialized_trace_is_time_ordered() {
+        let t = Trace::from_requests((0..5).map(|i| mk(i, IoType::Read, i * 10, 4096)).collect());
+        let serde::Value::Object(mut fields) = t.to_value() else {
+            panic!("a trace serializes as an object");
+        };
+        let serde::Value::Array(requests) = &mut fields[0].1 else {
+            panic!("`requests` is an array");
+        };
+        requests.reverse();
+        let json = serde_json::to_string(&serde::Value::Object(fields)).unwrap();
+        let back: Trace = serde_json::from_str(&json).unwrap();
+        let arrivals: Vec<SimTime> = back.requests().iter().map(|r| r.arrival).collect();
+        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(back.span(), SimTime::from_us(40));
+        assert_eq!(
+            back.window(SimTime::from_us(10), SimTime::from_us(30))
+                .len(),
+            2
+        );
     }
 
     #[test]
