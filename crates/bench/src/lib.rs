@@ -36,57 +36,6 @@ pub fn scale_label(s: &Scale) -> String {
     )
 }
 
-/// Counting global allocator (feature `alloc-count`, default on): a
-/// thin wrapper over the system allocator that tallies allocation
-/// events and requested bytes in relaxed atomics. Binaries opt in with
-/// `#[global_allocator]`; the library never installs it itself, so
-/// Criterion benches and the experiment binaries are untouched unless
-/// they ask.
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// The counting wrapper. Frees are not counted (a steady-state
-    /// simulation frees what it allocates, so the alloc side is the
-    /// whole story); a `realloc` counts as one event plus the *new*
-    /// size in bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(new_size as u64, Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    /// `(allocation events, requested bytes)` since process start;
-    /// subtract two snapshots to attribute a region.
-    pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Relaxed), BYTES.load(Relaxed))
-    }
-}
-
 /// Re-export for binary convenience.
 pub use system_sim;
 

@@ -83,21 +83,6 @@ impl PredictionCache {
         self.misses
     }
 
-    /// Empty the cache in place — every way unoccupied, LRU state and
-    /// hit/miss counters zeroed — while keeping the set table
-    /// allocated. A reset cache is observably identical to a newly
-    /// built one of the same size; workspace reuse across simulation
-    /// cells (where per-run hit/miss totals are part of pinned traces)
-    /// depends on exactly that.
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.ways = [CacheEntry::EMPTY; 2];
-            set.lru = 0;
-        }
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Predict through the cache: `x` is the caller-held input buffer
     /// with features already written (as in
     /// [`ThroughputPredictionModel::predict_at`]). On a key match the
@@ -226,43 +211,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let _ = PredictionCache::new(7);
-    }
-
-    #[test]
-    fn reset_is_observably_fresh() {
-        let tpm = tpm();
-        let ch = WorkloadFeatures {
-            read_ratio: 0.5,
-            read_iat_mean_us: 12.0,
-            write_iat_mean_us: 14.0,
-            read_size_mean: 20_000.0,
-            write_size_mean: 24_000.0,
-            ..Default::default()
-        };
-        let mut x = [0.0f64; TPM_INPUT_LEN];
-        ch.write_into(&mut x);
-        let mut script = |cache: &mut PredictionCache| {
-            let mut got = Vec::new();
-            for round in 0..2 {
-                for w in 1..=6 {
-                    let v = cache.predict(&tpm, &mut x, w);
-                    got.push((round, w, v.0.to_bits(), v.1.to_bits()));
-                }
-            }
-            got.push((9, 0, cache.hits(), cache.misses()));
-            got
-        };
-        let mut reused = PredictionCache::new(64);
-        let first = script(&mut reused);
-        reused.reset();
-        assert_eq!(reused.hits(), 0);
-        assert_eq!(reused.misses(), 0);
-        // Second run through the SAME storage must replay the first
-        // exactly — same values, same hit/miss trajectory.
-        let second = script(&mut reused);
-        assert_eq!(first, second);
-        // And match a genuinely fresh cache.
-        let fresh = script(&mut PredictionCache::new(64));
-        assert_eq!(first, fresh);
     }
 }

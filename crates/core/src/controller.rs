@@ -67,24 +67,8 @@ pub struct SrcController {
 impl SrcController {
     /// Build from a trained TPM (shared across a machine's Targets).
     pub fn new(tpm: impl Into<Arc<ThroughputPredictionModel>>, cfg: SrcConfig) -> Self {
-        Self::with_cache(tpm, cfg, PredictionCache::default())
-    }
-
-    /// [`SrcController::new`] with caller-provided prediction-cache
-    /// storage — the workspace-reuse seam: a sweep worker recovers the
-    /// cache via [`SrcController::into_cache`] after each run and hands
-    /// it (reset) to the next run's controller, so the ~13 KB set table
-    /// is allocated once per worker instead of once per cell. The cache
-    /// must be freshly built or [`PredictionCache::reset`]; a dirty one
-    /// would replay another run's hit/miss trajectory.
-    pub fn with_cache(
-        tpm: impl Into<Arc<ThroughputPredictionModel>>,
-        cfg: SrcConfig,
-        cache: PredictionCache,
-    ) -> Self {
-        let tpm = tpm.into();
         SrcController {
-            tpm,
+            tpm: tpm.into(),
             monitor: WorkloadMonitor::new(cfg.prediction_window),
             cfg,
             current_weight: 1,
@@ -92,14 +76,8 @@ impl SrcController {
             decisions: Vec::new(),
             probes: ProbeBuffer::default(),
             scope: 0,
-            cache,
+            cache: PredictionCache::default(),
         }
-    }
-
-    /// Recover the prediction-cache storage for reuse (see
-    /// [`SrcController::with_cache`]).
-    pub fn into_cache(self) -> PredictionCache {
-        self.cache
     }
 
     /// Enable or disable telemetry probes; `scope` tags the records

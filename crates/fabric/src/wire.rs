@@ -55,7 +55,7 @@ pub fn decode_tag(tag: u64) -> (MsgKind, u64) {
 }
 
 /// An instruction to put bytes on a flow (executed by the system loop
-/// via `Network::send`).
+/// via `Network::send_into`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireSend {
     /// Which flow carries the message.

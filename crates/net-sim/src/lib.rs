@@ -13,16 +13,17 @@
 //!   ECN marking between Kmin/Kmax, PFC XOFF/XON pause frames with
 //!   per-ingress accounting, store-and-forward links.
 //!
-//! The driver (fabric/system-sim) calls [`Network::send`] /
-//! [`Network::handle`] and owns the event queue, exactly like the SSD
-//! model. [`network::NetStep::rate_changes`] is the signal SRC's
-//! controller subscribes to ("a required data sending rate calculated by
-//! RDMA Driver", Sec. III).
+//! The driver (fabric/system-sim) calls [`Network::send_into`] /
+//! [`Network::handle_into`] with one reused [`NetStep`] and owns the
+//! event queue, exactly like the SSD model.
+//! [`network::NetStep::rate_changes`] is the signal SRC's controller
+//! subscribes to ("a required data sending rate calculated by RDMA
+//! Driver", Sec. III).
 //!
 //! # Example
 //!
 //! ```
-//! use net_sim::{build_star, DcqcnParams, Network, PfcParams, DEFAULT_MTU};
+//! use net_sim::{build_star, DcqcnParams, NetStep, Network, PfcParams, DEFAULT_MTU};
 //! use sim_engine::{EventQueue, Rate, SimDuration, SimTime};
 //!
 //! let clos = build_star(2, Rate::from_gbps(40), SimDuration::from_us(1));
@@ -31,14 +32,15 @@
 //!     PfcParams::default(), DEFAULT_MTU);
 //! let flow = net.add_flow(hosts[0], hosts[1]);
 //! let mut q = EventQueue::new();
-//! for (t, e) in net.send(flow, 64 * 1024, 7, SimTime::ZERO).schedule {
-//!     q.schedule(t, e);
-//! }
+//! let mut step = NetStep::default();
+//! net.send_into(flow, 64 * 1024, 7, SimTime::ZERO, &mut step);
 //! let mut delivered = 0;
-//! while let Some((now, ev)) = q.pop() {
-//!     let step = net.handle(ev, now);
+//! loop {
 //!     delivered += step.deliveries.iter().map(|d| d.bytes).sum::<u64>();
-//!     for (t, e) in step.schedule { q.schedule(t, e); }
+//!     for &(t, e) in &step.schedule { q.schedule(t, e); }
+//!     let Some((now, ev)) = q.pop() else { break };
+//!     step.clear();
+//!     net.handle_into(ev, now, &mut step);
 //! }
 //! assert_eq!(delivered, 64 * 1024);
 //! ```

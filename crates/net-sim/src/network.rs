@@ -2,10 +2,10 @@
 //! rate shaping, output-queued switches with ECN marking and PFC
 //! pause/resume, store-and-forward links.
 //!
-//! Caller-driven like the SSD model: [`Network::send`] and
-//! [`Network::handle`] return a [`NetStep`] with deliveries, DCQCN rate
-//! changes (the hook SRC listens to), received pauses (Fig. 8's metric)
-//! and events to schedule.
+//! Caller-driven like the SSD model: [`Network::send_into`] and
+//! [`Network::handle_into`] append to a caller-owned [`NetStep`]
+//! deliveries, DCQCN rate changes (the hook SRC listens to), received
+//! pauses (Fig. 8's metric) and events to schedule.
 
 use crate::dcqcn::{DcqcnParams, NpState, RpState};
 use crate::timely::{TimelyParams, TimelyState};
@@ -52,7 +52,7 @@ struct Packet {
 pub struct Delivery {
     /// The flow the bytes belong to.
     pub flow: FlowId,
-    /// Application tag passed to [`Network::send`].
+    /// Application tag passed to [`Network::send_into`].
     pub tag: u64,
     /// Payload bytes in this packet.
     pub bytes: u64,
@@ -553,15 +553,8 @@ impl Network {
     }
 
     /// Enqueue `bytes` of application payload on a flow, segmented into
-    /// MTU-sized packets; the final packet carries `last_of_msg`.
-    pub fn send(&mut self, flow: FlowId, bytes: u64, tag: u64, now: SimTime) -> NetStep {
-        let mut step = NetStep::default();
-        self.send_into(flow, bytes, tag, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`Network::send`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// MTU-sized packets (the final packet carries `last_of_msg`), and
+    /// append the resulting outputs to the caller-owned `step`.
     pub fn send_into(
         &mut self,
         flow: FlowId,
@@ -593,15 +586,8 @@ impl Network {
         self.kick_nic(host, now, step);
     }
 
-    /// Advance on one of the network's own events.
-    pub fn handle(&mut self, ev: NetEvent, now: SimTime) -> NetStep {
-        let mut step = NetStep::default();
-        self.handle_into(ev, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`Network::handle`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// Advance on one of the network's own events, appending its
+    /// outputs to the caller-owned `step`.
     pub fn handle_into(&mut self, ev: NetEvent, now: SimTime, step: &mut NetStep) {
         match ev {
             NetEvent::TxDone { link } => self.on_tx_done(link, now, step),

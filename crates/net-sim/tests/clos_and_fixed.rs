@@ -1,6 +1,6 @@
 //! Scenarios on the Clos fabric and with fixed-rate (CC-exempt) flows.
 
-use net_sim::network::{NetEvent, Network};
+use net_sim::network::{NetEvent, NetStep, Network};
 use net_sim::topology::{build_clos, ClosConfig};
 use net_sim::{DcqcnParams, PfcParams, DEFAULT_MTU};
 use sim_engine::{EventQueue, Rate, SimDuration, SimTime};
@@ -13,17 +13,19 @@ fn drive(net: &mut Network, init: Vec<(SimTime, NetEvent)>, max: usize) -> (u64,
     let mut delivered = 0u64;
     let mut end = SimTime::ZERO;
     let mut n = 0usize;
+    let mut step = NetStep::default();
     while let Some((now, ev)) = q.pop() {
         n += 1;
         assert!(n <= max, "event budget exceeded");
-        let step = net.handle(ev, now);
+        step.clear();
+        net.handle_into(ev, now, &mut step);
         for d in &step.deliveries {
             delivered += d.bytes;
         }
         if !step.deliveries.is_empty() {
             end = now;
         }
-        for (t, e) in step.schedule {
+        for &(t, e) in &step.schedule {
             q.schedule(t, e);
         }
     }
@@ -44,8 +46,9 @@ fn clos_cross_pod_transfer() {
     );
     let f = net.add_flow(a, b);
     let bytes = 1024 * 1024u64;
-    let init = net.send(f, bytes, 1, SimTime::ZERO).schedule;
-    let (delivered, end) = drive(&mut net, init, 2_000_000);
+    let mut init = NetStep::default();
+    net.send_into(f, bytes, 1, SimTime::ZERO, &mut init);
+    let (delivered, end) = drive(&mut net, init.schedule, 2_000_000);
     assert_eq!(delivered, bytes);
     // 5 hops of 1 µs propagation + serialization: a 1 MiB transfer at
     // 40 Gbps takes >= 200 µs.
@@ -70,15 +73,15 @@ fn clos_intra_pod_parallel_transfers() {
         PfcParams::default(),
         DEFAULT_MTU,
     );
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     let per_flow = 256 * 1024u64;
     let mut flows = 0u64;
     for i in 0..8 {
         let f = net.add_flow(hosts[i], hosts[15 - i]);
-        init.extend(net.send(f, per_flow, i as u64, SimTime::ZERO).schedule);
+        net.send_into(f, per_flow, i as u64, SimTime::ZERO, &mut init);
         flows += 1;
     }
-    let (delivered, _) = drive(&mut net, init, 4_000_000);
+    let (delivered, _) = drive(&mut net, init.schedule, 4_000_000);
     assert_eq!(delivered, flows * per_flow);
 }
 
@@ -96,30 +99,29 @@ fn fixed_rate_flow_is_shaped_and_cc_exempt() {
     // destination link.
     let fixed = net.add_fixed_rate_flow(hosts[0], hosts[2], Rate::from_gbps(2));
     let adaptive = net.add_flow(hosts[1], hosts[2]);
-    let mut init = Vec::new();
-    init.extend(net.send(fixed, 2 * 1024 * 1024, 0, SimTime::ZERO).schedule);
-    init.extend(
-        net.send(adaptive, 2 * 1024 * 1024, 1, SimTime::ZERO)
-            .schedule,
-    );
+    let mut init = NetStep::default();
+    net.send_into(fixed, 2 * 1024 * 1024, 0, SimTime::ZERO, &mut init);
+    net.send_into(adaptive, 2 * 1024 * 1024, 1, SimTime::ZERO, &mut init);
     let mut q = EventQueue::new();
-    for (t, e) in init {
+    for (t, e) in init.schedule {
         q.schedule(t, e);
     }
     let mut fixed_bytes = 0u64;
     let mut fixed_last = SimTime::ZERO;
     let mut n = 0;
+    let mut step = NetStep::default();
     while let Some((now, ev)) = q.pop() {
         n += 1;
         assert!(n < 10_000_000);
-        let step = net.handle(ev, now);
+        step.clear();
+        net.handle_into(ev, now, &mut step);
         for d in &step.deliveries {
             if d.flow == fixed {
                 fixed_bytes += d.bytes;
                 fixed_last = now;
             }
         }
-        for (t, e) in step.schedule {
+        for &(t, e) in &step.schedule {
             q.schedule(t, e);
         }
     }
@@ -147,15 +149,12 @@ fn fixed_rate_flows_never_generate_cnps() {
         PfcParams::default(),
         DEFAULT_MTU,
     );
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     for i in 0..3 {
         let f = net.add_fixed_rate_flow(hosts[i], hosts[3], Rate::from_gbps(20));
-        init.extend(
-            net.send(f, 4 * 1024 * 1024, i as u64, SimTime::ZERO)
-                .schedule,
-        );
+        net.send_into(f, 4 * 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
     }
-    let (delivered, _) = drive(&mut net, init, 20_000_000);
+    let (delivered, _) = drive(&mut net, init.schedule, 20_000_000);
     assert_eq!(delivered, 3 * 4 * 1024 * 1024);
     assert!(net.ecn_marked() > 0, "overload should mark");
     assert_eq!(net.cnps_sent(), 0, "fixed-rate flows are CC-exempt");
@@ -176,7 +175,7 @@ fn lossless_conservation_under_mixed_load() {
         },
         DEFAULT_MTU,
     );
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     let mut expected = 0u64;
     for i in 0..4 {
         let f = if i % 2 == 0 {
@@ -186,9 +185,9 @@ fn lossless_conservation_under_mixed_load() {
         };
         let bytes = (i as u64 + 1) * 777_777;
         expected += bytes;
-        init.extend(net.send(f, bytes, i as u64, SimTime::ZERO).schedule);
+        net.send_into(f, bytes, i as u64, SimTime::ZERO, &mut init);
     }
-    let (delivered, _) = drive(&mut net, init, 40_000_000);
+    let (delivered, _) = drive(&mut net, init.schedule, 40_000_000);
     assert_eq!(delivered, expected);
     assert!(net.is_quiescent());
 }

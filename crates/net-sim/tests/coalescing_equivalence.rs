@@ -103,16 +103,18 @@ fn run(
         .collect();
 
     let mut q: EventQueue<NetEvent> = EventQueue::new();
+    let mut step = NetStep::default();
     for (i, &(sender, bytes, start_us)) in messages.iter().enumerate() {
-        let step = net.send(
+        net.send_into(
             flows[sender % n_senders],
             bytes,
             i as u64,
             SimTime::ZERO + SimDuration::from_us(start_us),
+            &mut step,
         );
-        for (t, e) in step.schedule {
-            q.schedule(t, e);
-        }
+    }
+    for (t, e) in step.schedule.drain(..) {
+        q.schedule(t, e);
     }
 
     let mut actions: Vec<(SimTime, u8)> = match fault {
@@ -133,7 +135,6 @@ fn run(
         cnps_sent: 0,
         total_bytes: 0,
     };
-    let mut step = NetStep::default();
     let mut budget = 10_000_000u64;
     loop {
         // Fault transitions fire between events, at their own times.

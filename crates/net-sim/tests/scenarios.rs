@@ -1,7 +1,7 @@
 //! Scenario tests for the network simulator: single-flow throughput,
 //! incast congestion with ECN/CNP/PFC, DCQCN rate cuts and recovery.
 
-use net_sim::network::{Delivery, NetEvent, Network};
+use net_sim::network::{Delivery, NetEvent, NetStep, Network};
 use net_sim::topology::build_star;
 use net_sim::{DcqcnParams, FlowId, NodeId, PfcParams, DEFAULT_MTU};
 use sim_engine::{EventQueue, Rate, SimDuration, SimTime};
@@ -27,20 +27,22 @@ fn run(net: &mut Network, initial: Vec<(SimTime, NetEvent)>, max_events: usize) 
         end: SimTime::ZERO,
     };
     let mut n = 0;
+    let mut step = NetStep::default();
     while let Some((now, ev)) = q.pop() {
         n += 1;
         assert!(n <= max_events, "event budget exceeded — livelock?");
-        let step = net.handle(ev, now);
-        for d in step.deliveries {
+        step.clear();
+        net.handle_into(ev, now, &mut step);
+        for &d in &step.deliveries {
             res.deliveries.push((now, d));
         }
-        for (f, r) in step.rate_changes {
+        for &(f, r) in &step.rate_changes {
             res.rate_changes.push((now, f, r));
         }
-        for h in step.pauses_received {
+        for &h in &step.pauses_received {
             res.pauses.push((now, h));
         }
-        for (t, e) in step.schedule {
+        for &(t, e) in &step.schedule {
             q.schedule(t, e);
         }
         res.end = now;
@@ -66,7 +68,8 @@ fn single_flow_achieves_line_rate() {
     let f = net.add_flow(hosts[0], hosts[1]);
     // 4 MB transfer over 40 Gbps ≈ 800 µs + small per-hop overheads.
     let bytes = 4 * 1024 * 1024u64;
-    let step = net.send(f, bytes, 1, SimTime::ZERO);
+    let mut step = NetStep::default();
+    net.send_into(f, bytes, 1, SimTime::ZERO, &mut step);
     let res = run(&mut net, step.schedule, 1_000_000);
     let delivered: u64 = res.deliveries.iter().map(|(_, d)| d.bytes).sum();
     assert_eq!(delivered, bytes);
@@ -85,10 +88,10 @@ fn single_flow_achieves_line_rate() {
 fn messages_deliver_in_order_with_tags() {
     let (mut net, hosts) = star(2);
     let f = net.add_flow(hosts[0], hosts[1]);
-    let mut init = Vec::new();
-    init.extend(net.send(f, 10_000, 1, SimTime::ZERO).schedule);
-    init.extend(net.send(f, 10_000, 2, SimTime::ZERO).schedule);
-    let res = run(&mut net, init, 100_000);
+    let mut init = NetStep::default();
+    net.send_into(f, 10_000, 1, SimTime::ZERO, &mut init);
+    net.send_into(f, 10_000, 2, SimTime::ZERO, &mut init);
+    let res = run(&mut net, init.schedule, 100_000);
     let lasts: Vec<u64> = res
         .deliveries
         .iter()
@@ -106,14 +109,11 @@ fn incast_triggers_ecn_cnp_and_rate_cuts() {
     let (mut net, hosts) = star(9);
     let dst = hosts[8];
     let flows: Vec<FlowId> = (0..8).map(|i| net.add_flow(hosts[i], dst)).collect();
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     for (i, &f) in flows.iter().enumerate() {
-        init.extend(
-            net.send(f, 3 * 1024 * 1024, i as u64, SimTime::ZERO)
-                .schedule,
-        );
+        net.send_into(f, 3 * 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
     }
-    let res = run(&mut net, init, 40_000_000);
+    let res = run(&mut net, init.schedule, 40_000_000);
     let delivered: u64 = res.deliveries.iter().map(|(_, d)| d.bytes).sum();
     assert_eq!(delivered, 8 * 3 * 1024 * 1024);
     assert!(net.ecn_marked() > 0, "ECN should mark under incast");
@@ -155,15 +155,12 @@ fn severe_incast_generates_pfc_pauses() {
         DEFAULT_MTU,
     );
     let dst = hosts[16];
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     for (i, &h) in hosts.iter().take(16).enumerate() {
         let f = net.add_flow(h, dst);
-        init.extend(
-            net.send(f, 2 * 1024 * 1024, i as u64, SimTime::ZERO)
-                .schedule,
-        );
+        net.send_into(f, 2 * 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
     }
-    let res = run(&mut net, init, 60_000_000);
+    let res = run(&mut net, init.schedule, 60_000_000);
     assert!(!res.pauses.is_empty(), "PFC pauses should fire");
     // Pause counters are per host.
     let total: u64 = (0..16).map(|i| net.host_pause_count(hosts[i])).sum();
@@ -178,10 +175,10 @@ fn rate_recovers_after_congestion() {
     let (mut net, hosts) = star(3);
     let f0 = net.add_flow(hosts[0], hosts[2]);
     let f1 = net.add_flow(hosts[1], hosts[2]);
-    let mut init = Vec::new();
-    init.extend(net.send(f0, 8 * 1024 * 1024, 0, SimTime::ZERO).schedule);
-    init.extend(net.send(f1, 8 * 1024 * 1024, 1, SimTime::ZERO).schedule);
-    let res = run(&mut net, init, 40_000_000);
+    let mut init = NetStep::default();
+    net.send_into(f0, 8 * 1024 * 1024, 0, SimTime::ZERO, &mut init);
+    net.send_into(f1, 8 * 1024 * 1024, 1, SimTime::ZERO, &mut init);
+    let res = run(&mut net, init.schedule, 40_000_000);
     // After everything drains and recovery timers run, both flows should
     // have recovered to (near) line rate.
     let final_rate = net.flow_rate(f0).max(net.flow_rate(f1));
@@ -197,7 +194,8 @@ fn rate_recovers_after_congestion() {
 fn backlog_accounting() {
     let (mut net, hosts) = star(2);
     let f = net.add_flow(hosts[0], hosts[1]);
-    let step = net.send(f, 100_000, 0, SimTime::ZERO);
+    let mut step = NetStep::default();
+    net.send_into(f, 100_000, 0, SimTime::ZERO, &mut step);
     // One packet is already serializing; the rest is backlog.
     assert!(net.flow_backlog_bytes(f) < 100_000);
     assert!(net.flow_backlog_bytes(f) > 0);
@@ -212,12 +210,12 @@ fn backlog_accounting() {
 fn determinism() {
     let mk = || {
         let (mut net, hosts) = star(5);
-        let mut init = Vec::new();
+        let mut init = NetStep::default();
         for i in 0..4 {
             let f = net.add_flow(hosts[i], hosts[4]);
-            init.extend(net.send(f, 1024 * 1024, i as u64, SimTime::ZERO).schedule);
+            net.send_into(f, 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
         }
-        let res = run(&mut net, init, 10_000_000);
+        let res = run(&mut net, init.schedule, 10_000_000);
         (
             res.deliveries.len(),
             res.end,

@@ -1,6 +1,6 @@
 //! Scenario tests for TIMELY rate control.
 
-use net_sim::network::{NetEvent, Network};
+use net_sim::network::{NetEvent, NetStep, Network};
 use net_sim::topology::build_star;
 use net_sim::{DcqcnParams, PfcParams, TimelyParams, DEFAULT_MTU};
 use sim_engine::{EventQueue, Rate, SimDuration, SimTime};
@@ -35,10 +35,12 @@ fn run(net: &mut Network, init: Vec<(SimTime, NetEvent)>, max: usize) -> Run {
         end: SimTime::ZERO,
     };
     let mut n = 0;
+    let mut step = NetStep::default();
     while let Some((now, ev)) = q.pop() {
         n += 1;
         assert!(n <= max, "event budget exceeded");
-        let step = net.handle(ev, now);
+        step.clear();
+        net.handle_into(ev, now, &mut step);
         for d in &step.deliveries {
             out.delivered += d.bytes;
             out.end = now;
@@ -46,7 +48,7 @@ fn run(net: &mut Network, init: Vec<(SimTime, NetEvent)>, max: usize) -> Run {
         for (_, r) in &step.rate_changes {
             out.min_rate = out.min_rate.min(*r);
         }
-        for (t, e) in step.schedule {
+        for &(t, e) in &step.schedule {
             q.schedule(t, e);
         }
     }
@@ -58,8 +60,9 @@ fn single_flow_unharmed_by_timely() {
     let (mut net, hosts) = timely_star(2);
     let f = net.add_flow(hosts[0], hosts[1]);
     let bytes = 2 * 1024 * 1024u64;
-    let init = net.send(f, bytes, 1, SimTime::ZERO).schedule;
-    let r = run(&mut net, init, 4_000_000);
+    let mut init = NetStep::default();
+    net.send_into(f, bytes, 1, SimTime::ZERO, &mut init);
+    let r = run(&mut net, init.schedule, 4_000_000);
     assert_eq!(r.delivered, bytes);
     let gbps = r.delivered as f64 * 8.0 / r.end.as_secs_f64() / 1e9;
     // Uncongested RTTs sit near t_low: the rate stays high.
@@ -71,15 +74,12 @@ fn single_flow_unharmed_by_timely() {
 #[test]
 fn timely_incast_cuts_rates_and_delivers_everything() {
     let (mut net, hosts) = timely_star(9);
-    let mut init = Vec::new();
+    let mut init = NetStep::default();
     for i in 0..8 {
         let f = net.add_flow(hosts[i], hosts[8]);
-        init.extend(
-            net.send(f, 2 * 1024 * 1024, i as u64, SimTime::ZERO)
-                .schedule,
-        );
+        net.send_into(f, 2 * 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
     }
-    let r = run(&mut net, init, 40_000_000);
+    let r = run(&mut net, init.schedule, 40_000_000);
     assert_eq!(r.delivered, 8 * 2 * 1024 * 1024);
     // Queue buildup inflates RTT -> TIMELY cuts well below line rate.
     assert!(
@@ -108,12 +108,12 @@ fn timely_and_dcqcn_both_control_the_same_incast() {
         if timely {
             net.use_timely(TimelyParams::default());
         }
-        let mut init = Vec::new();
+        let mut init = NetStep::default();
         for i in 0..6 {
             let f = net.add_flow(hosts[i], hosts[6]);
-            init.extend(net.send(f, 1024 * 1024, i as u64, SimTime::ZERO).schedule);
+            net.send_into(f, 1024 * 1024, i as u64, SimTime::ZERO, &mut init);
         }
-        run(&mut net, init, 40_000_000)
+        run(&mut net, init.schedule, 40_000_000)
     };
     let t = mk(true);
     let d = mk(false);

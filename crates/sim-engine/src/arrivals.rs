@@ -10,7 +10,7 @@
 //! than every event it tied with; equal arrivals keep their input order.
 //! The merged pop order is therefore exactly the pre-scheduled one.
 
-use crate::queue::AdaptiveEventQueue;
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 use std::iter::Peekable;
 
@@ -34,7 +34,7 @@ impl<A, I: Iterator<Item = (SimTime, A)>> ArrivalCursor<I> {
     #[inline]
     pub fn pop<E>(
         &mut self,
-        queue: &mut AdaptiveEventQueue<E>,
+        queue: &mut EventQueue<E>,
         wrap: impl FnOnce(A) -> E,
     ) -> Option<(SimTime, E)> {
         if let Some(&(at, _)) = self.arrivals.peek() {
@@ -63,7 +63,7 @@ mod tests {
         Other(u32),
     }
 
-    fn drain(arrivals: &[(SimTime, u32)], q: &mut AdaptiveEventQueue<Ev>) -> Vec<(SimTime, Ev)> {
+    fn drain(arrivals: &[(SimTime, u32)], q: &mut EventQueue<Ev>) -> Vec<(SimTime, Ev)> {
         let mut cursor = ArrivalCursor::new(arrivals.iter().copied());
         std::iter::from_fn(|| cursor.pop(q, Ev::Arrival)).collect()
     }
@@ -71,7 +71,7 @@ mod tests {
     #[test]
     fn tied_arrivals_keep_input_order_and_precede_a_tied_event() {
         let t = SimTime::from_us(5);
-        let mut q = AdaptiveEventQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(t, Ev::Other(9));
         assert_eq!(
             drain(&[(t, 1), (t, 2)], &mut q),
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn earlier_events_run_before_a_later_arrival() {
-        let mut q = AdaptiveEventQueue::new();
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_us(1), Ev::Other(0));
         q.schedule(SimTime::from_us(3), Ev::Other(1));
         let kinds: Vec<Ev> = drain(&[(SimTime::from_us(2), 7)], &mut q)
@@ -117,7 +117,7 @@ mod tests {
         follow: Follow,
         threshold: usize,
     ) -> Vec<(SimTime, Ev)> {
-        let mut q = AdaptiveEventQueue::with_threshold(threshold);
+        let mut q = EventQueue::with_threshold(threshold);
         let mut cursor = ArrivalCursor::new(arrivals.iter().copied());
         let mut out = Vec::new();
         let mut next_id = 0;
@@ -134,8 +134,8 @@ mod tests {
     proptest::proptest! {
         /// Streaming reproduces the pre-scheduled pop order exactly, with
         /// follow-up delays chosen to tie with later arrivals and with
-        /// each other, and with queue thresholds that move the adaptive
-        /// queue onto its timing wheel mid-run.
+        /// each other, and with queue thresholds that move the queue onto
+        /// its timing wheel mid-run.
         #[test]
         fn prop_streamed_matches_prescheduled(
             gaps in proptest::collection::vec(0u64..4, 1..60),

@@ -52,7 +52,6 @@
 //! at any thread count (`tests/checkpoint_resume.rs` asserts it).
 
 use crate::runner::{cell_seed, ScenarioRunner};
-use crate::workspace::SimWorkspace;
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -376,53 +375,12 @@ impl ScenarioRunner {
         T: Send + Serialize + Deserialize,
         F: Fn(usize, &C) -> T + Sync,
     {
-        self.try_run_cells_resumable_with(ckpt, base_seed, cells, |_ws, i, c| f(i, c))
-    }
-
-    /// [`run_cells_resumable`](ScenarioRunner::run_cells_resumable)
-    /// with per-worker reusable state (see
-    /// [`ScenarioRunner::run_with_workspace`]): `f` additionally
-    /// receives the claiming worker's [`SimWorkspace`]. Cells replayed
-    /// from the manifest never call `f`, so a resumed sweep exercises
-    /// the workspace only for the cells it actually recomputes —
-    /// byte-identical either way under the workspace reset contract.
-    pub fn run_cells_resumable_with<C, T, F>(
-        &self,
-        ckpt: Option<&CheckpointSpec>,
-        base_seed: u64,
-        cells: &[C],
-        f: F,
-    ) -> Vec<T>
-    where
-        C: Sync,
-        T: Send + Serialize + Deserialize,
-        F: Fn(&mut SimWorkspace, usize, &C) -> T + Sync,
-    {
-        self.try_run_cells_resumable_with(ckpt, base_seed, cells, f)
-            .unwrap_or_else(|e| panic!("checkpoint: {e}"))
-    }
-
-    /// [`run_cells_resumable_with`](ScenarioRunner::run_cells_resumable_with)
-    /// surfacing manifest open/replay problems as `Err` (see
-    /// [`try_run_cells_resumable`](ScenarioRunner::try_run_cells_resumable)).
-    pub fn try_run_cells_resumable_with<C, T, F>(
-        &self,
-        ckpt: Option<&CheckpointSpec>,
-        base_seed: u64,
-        cells: &[C],
-        f: F,
-    ) -> io::Result<Vec<T>>
-    where
-        C: Sync,
-        T: Send + Serialize + Deserialize,
-        F: Fn(&mut SimWorkspace, usize, &C) -> T + Sync,
-    {
         let Some(spec) = ckpt else {
-            return Ok(self.run_cells_with_workspace(cells, f));
+            return Ok(self.run_cells(cells, f));
         };
         let (cached, writer) = open_manifest(spec, base_seed, cells.len())?;
         let writer = Mutex::new(writer);
-        Ok(self.run_with_workspace(cells.len(), |ws, i| {
+        Ok(self.run(cells.len(), |i| {
             if let Some(v) = &cached[i] {
                 return T::from_value(v).unwrap_or_else(|e| {
                     panic!(
@@ -433,7 +391,7 @@ impl ScenarioRunner {
                 });
             }
             let t0 = std::time::Instant::now();
-            let out = f(ws, i, &cells[i]);
+            let out = f(i, &cells[i]);
             let payload = serde_json::to_string(&out).expect("cell payload serializes");
             let digest = fnv1a64(payload.as_bytes());
             let line = cell_line(

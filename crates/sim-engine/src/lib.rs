@@ -7,7 +7,9 @@
 //!   40 Gbps one byte serializes in exactly 200 ps, so integer time keeps
 //!   every simulation bit-reproducible across platforms.
 //! * [`EventQueue`] — a time-ordered event queue with a monotone sequence
-//!   tie-breaker, so same-timestamp events are delivered in FIFO order.
+//!   tie-breaker, so same-timestamp events are delivered in FIFO order;
+//!   a binary heap while few events are pending, a timing wheel once
+//!   many are.
 //! * [`stats`] — streaming and batch statistics (mean, variance, squared
 //!   coefficient of variation, skewness, autocorrelation, percentiles)
 //!   used by the workload feature extractor and by metric collection.
@@ -62,7 +64,7 @@ pub use arrivals::ArrivalCursor;
 pub use checkpoint::{CheckpointSpec, CHECKPOINT_ENV};
 pub use fastmap::FastMap;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRng, FaultScope};
-pub use queue::{AdaptiveEventQueue, EventQueue, HeapEventQueue, ADAPTIVE_MIGRATION_THRESHOLD};
+pub use queue::EventQueue;
 pub use rate::{ByteSize, Rate};
 pub use runner::ScenarioRunner;
 pub use series::TimeBinSeries;

@@ -1,31 +1,36 @@
 //! Time-ordered event queue with deterministic FIFO tie-breaking.
 //!
-//! Three implementations share one contract (nondecreasing pop times,
-//! FIFO among equal timestamps via a monotone sequence number, debug
-//! causality check):
+//! [`EventQueue`] is the one queue every simulator in this workspace
+//! drains. It is one type with two private regimes that share one
+//! contract (nondecreasing pop times, FIFO among equal timestamps via a
+//! monotone sequence number, debug causality check):
 //!
-//! * [`EventQueue`] — the hierarchical timing wheel with amortized O(1)
-//!   schedule/pop, plus a binary-heap calendar overflow for timers
-//!   beyond the wheel horizon. The measured winner at large pending
-//!   counts (~1.2× over the heap at 64k pending, ~7× at 1M).
-//! * [`HeapEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   executable reference model: the property tests drive both with the
-//!   same interleavings and require identical pop sequences, and the
-//!   perf suite uses it as the baseline the wheel is measured against.
-//!   It is also the measured winner at *small* pending counts (up to
-//!   ~16k on the bench host), where the wheel's slot bookkeeping costs
-//!   more than `log n`.
-//! * [`AdaptiveEventQueue`] — the production queue: starts on the
-//!   binary heap and migrates **once** into the timing wheel when live
-//!   pending crosses [`ADAPTIVE_MIGRATION_THRESHOLD`], preserving every
-//!   already-assigned `(time, seq)` pair so the pop sequence is
-//!   identical to either queue run alone. Simulator event loops drain
-//!   through this and get the measured-best structure at every size.
+//! * a binary heap while few events are pending. Up to ~16k pending on
+//!   the bench host a cache-resident sift costs less than the wheel's
+//!   slot bookkeeping;
+//! * a hierarchical timing wheel with amortized O(1) schedule/pop, plus
+//!   a binary-heap calendar overflow for timers beyond the wheel
+//!   horizon. It wins from ~32k pending up (~1.2× over the heap at 64k,
+//!   ~7× at 1M).
+//!
+//! The queue starts on the heap and migrates **once** into the wheel
+//! when live pending reaches `WHEEL_THRESHOLD` (16 384), moving every entry
+//! with its already-assigned `(time, seq)` pair, so the pop sequence is
+//! identical to either structure run alone. The threshold is a
+//! compile-time constant: the regime a run uses is a pure function of
+//! its event sequence. Both regimes carry real runs: a storage-node run
+//! keeps about a dozen events pending (one per busy chip and channel)
+//! and a fault-free system run about a hundred, so both stay on the
+//! heap; a system run with a timeout policy keeps one timer per
+//! in-flight request, and every `ext_faults` full-scale cell peaks at
+//! 20k–40k pending. The test suite keeps the plain binary heap as an
+//! oracle and requires identical pop sequences from both regimes and
+//! from migrations at arbitrary points.
 //!
 //! # Wheel design
 //!
 //! Time is integer picoseconds ([`SimTime`]). The wheel has
-//! [`LEVELS`] = 7 levels of 64 slots; level `l` slots are `64^l` ps
+//! `LEVELS` = 7 levels of 64 slots; level `l` slots are `64^l` ps
 //! wide, so one full rotation covers `64^7 = 2^42` ps ≈ 4.4 s of
 //! simulated time relative to the current wheel position — far beyond
 //! any timer the simulators arm (DCQCN timers are µs-scale, SSD erases
@@ -89,6 +94,14 @@ const LEVELS: usize = 7;
 /// above this bit live in the overflow heap.
 const SPAN_BITS: u32 = SLOT_BITS * LEVELS as u32;
 
+/// Live-pending count at which [`EventQueue`] migrates from the binary
+/// heap to the timing wheel: the top of the heap's measured regime (it
+/// wins up to ~16k pending, the wheel from ~32k up, and the crossover
+/// zone is within a few percent either way). Compile-time fixed — the
+/// migration point must be a pure function of the event sequence, never
+/// of wall-clock measurements.
+const WHEEL_THRESHOLD: usize = 16_384;
+
 // A wheel/heap entry for a word-sized payload is exactly 24 bytes
 // (time + seq + payload, no padding): three entries per cache line in
 // slot vectors and the delivery batch. Growth here taxes every
@@ -102,10 +115,145 @@ const _: () = assert!(std::mem::size_of::<Entry<()>>() == 16);
 ///
 /// Determinism matters: the simulators seed all their RNGs and rely on
 /// this queue never reordering same-time events, so a run is a pure
-/// function of its configuration and seed. The wheel preserves the
-/// [`HeapEventQueue`] pop order exactly (see the module docs and the
-/// property tests).
+/// function of its configuration and seed. The heap→wheel migration
+/// (see the module docs) never changes the pop sequence.
 pub struct EventQueue<E> {
+    /// Small-regime store (pre-migration).
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Large-regime store, stored inline so post-migration operations
+    /// pay no pointer hop — its slot table is one ~10 KB allocation at
+    /// construction, retained across `reset` for workspace reuse.
+    wheel: Wheel<E>,
+    /// True once migrated: every operation delegates to the wheel.
+    on_wheel: bool,
+    threshold: usize,
+    next_seq: u64,
+    last_popped: SimTime,
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Create an empty queue.
+    pub fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            wheel: Wheel::new(),
+            on_wheel: false,
+            threshold: WHEEL_THRESHOLD,
+            next_seq: 0,
+            last_popped: SimTime::ZERO,
+        }
+    }
+
+    /// An empty queue migrating at `threshold` pending events (minimum
+    /// 1), so tests can drive interleavings across the migration point.
+    #[cfg(test)]
+    pub(crate) fn with_threshold(threshold: usize) -> Self {
+        EventQueue {
+            threshold: threshold.max(1),
+            ..Self::new()
+        }
+    }
+
+    /// Move every heap entry into the wheel, preserving `(time, seq)`.
+    /// The wheel starts positioned at the last popped timestamp — every
+    /// pending entry is at or after it (causality contract), and any
+    /// release-mode violator is clamped exactly as `schedule` clamps.
+    #[cold]
+    fn migrate(&mut self) {
+        let wheel = &mut self.wheel;
+        wheel.reset();
+        wheel.elapsed = self.last_popped.0;
+        wheel.last_popped = self.last_popped;
+        wheel.next_seq = self.next_seq;
+        wheel.len = self.heap.len();
+        for Reverse(entry) in self.heap.drain() {
+            let t = entry.time.0.max(wheel.elapsed);
+            wheel.place_at(t, entry);
+        }
+        self.on_wheel = true;
+    }
+
+    /// Schedule `event` to fire at absolute time `at`.
+    ///
+    /// # Panics
+    /// In debug builds, panics if `at` is earlier than the most recently
+    /// popped timestamp (scheduling into the past breaks causality).
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        if self.on_wheel {
+            return self.wheel.schedule(at, event);
+        }
+        debug_assert!(
+            at >= self.last_popped,
+            "scheduling into the past: {at:?} < {:?}",
+            self.last_popped
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Entry {
+            time: at,
+            seq,
+            event,
+        }));
+        if self.heap.len() >= self.threshold {
+            self.migrate();
+        }
+    }
+
+    /// Remove and return the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.on_wheel {
+            return self.wheel.pop();
+        }
+        let Reverse(e) = self.heap.pop()?;
+        self.last_popped = e.time;
+        Some((e.time, e.event))
+    }
+
+    /// Timestamp of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if self.on_wheel {
+            return self.wheel.peek_time();
+        }
+        self.heap.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        if self.on_wheel {
+            return self.wheel.len;
+        }
+        self.heap.len()
+    }
+
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Restore the pristine `EventQueue::new()` state — empty, heap
+    /// regime, sequence counter and causality clock at zero — while
+    /// keeping the heap and wheel allocations. A reset queue is
+    /// observably indistinguishable from a freshly built one; workspace
+    /// reuse across simulation cells depends on exactly that.
+    pub fn reset(&mut self) {
+        self.heap.clear();
+        self.wheel.reset();
+        self.on_wheel = false;
+        self.next_seq = 0;
+        self.last_popped = SimTime::ZERO;
+    }
+}
+
+/// The hierarchical timing wheel behind [`EventQueue`]'s large regime
+/// (see the module docs). It keeps the same `(time, seq)` contract as
+/// the heap regime on its own, which the tests check directly.
+struct Wheel<E> {
     /// `LEVELS * SLOTS` slot vectors, flattened (`level * 64 + slot`).
     slots: Box<[Vec<Entry<E>>]>,
     /// Per-level slot occupancy bitmaps.
@@ -127,16 +275,9 @@ pub struct EventQueue<E> {
     last_popped: SimTime,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
+impl<E> Wheel<E> {
+    fn new() -> Self {
+        Wheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
@@ -147,15 +288,6 @@ impl<E> EventQueue<E> {
             len: 0,
             last_popped: SimTime::ZERO,
         }
-    }
-
-    /// Create an empty queue with pre-allocated capacity. (The wheel's
-    /// slot storage grows where events actually land, so `cap` only
-    /// sizes the delivery batch.)
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.deliver.reserve(cap.min(1 << 16));
-        q
     }
 
     /// Wheel level for an event at `t` given the current position:
@@ -178,10 +310,10 @@ impl<E> EventQueue<E> {
         self.place_at(t, entry);
     }
 
-    /// [`EventQueue::place`] with an explicit placement time `t` (the
-    /// entry keeps its own `time`): heap→wheel migration uses it to
-    /// apply the same past-time clamp [`EventQueue::schedule`] applies,
-    /// while preserving `(time, seq)` pairs assigned by the heap.
+    /// [`Wheel::place`] with an explicit placement time `t` (the entry
+    /// keeps its own `time`): heap→wheel migration uses it to apply the
+    /// same past-time clamp [`Wheel::schedule`] applies, while
+    /// preserving `(time, seq)` pairs assigned by the heap.
     #[inline]
     fn place_at(&mut self, t: u64, entry: Entry<E>) {
         debug_assert!(t >= self.elapsed);
@@ -195,12 +327,7 @@ impl<E> EventQueue<E> {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `at` is earlier than the most recently
-    /// popped timestamp (scheduling into the past breaks causality).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.last_popped,
             "scheduling into the past: {at:?} < {:?}",
@@ -234,8 +361,7 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<(SimTime, E)> {
         if let Some(e) = self.deliver.pop() {
             self.len -= 1;
             self.last_popped = e.time;
@@ -290,8 +416,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         if let Some(e) = self.deliver.last() {
             return Some(e.time);
         }
@@ -309,19 +434,9 @@ impl<E> EventQueue<E> {
         self.overflow.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop all pending events (the wheel position and sequence counter
-    /// are retained, matching the heap queue's `clear`).
-    pub fn clear(&mut self) {
+    /// Back to the `Wheel::new()` state — no pending events, position
+    /// and sequence counter at zero — keeping every allocation.
+    fn reset(&mut self) {
         for (level, bits) in self.occupied.iter_mut().enumerate() {
             let mut b = *bits;
             while b != 0 {
@@ -334,64 +449,31 @@ impl<E> EventQueue<E> {
         self.overflow.clear();
         self.deliver.clear();
         self.len = 0;
-    }
-
-    /// Restore the pristine `EventQueue::new()` state — no pending
-    /// events, wheel position and sequence counter back at zero — while
-    /// keeping every slot/batch/overflow allocation. A reset queue is
-    /// observably indistinguishable from a freshly built one; workspace
-    /// reuse across simulation cells depends on exactly that.
-    pub fn reset(&mut self) {
-        self.clear();
         self.elapsed = 0;
         self.next_seq = 0;
         self.last_popped = SimTime::ZERO;
     }
 }
 
-/// The original `BinaryHeap` event queue: O(log n) schedule/pop.
-///
-/// Retained as the executable reference model for [`EventQueue`]'s
-/// property tests and as the baseline of the queue micro-benchmarks
-/// (`perf_suite`, BENCH_PR4.json). Not used by any simulator.
-pub struct HeapEventQueue<E> {
+/// The plain `BinaryHeap` event queue: the executable reference model
+/// the tests hold both of [`EventQueue`]'s regimes (and the streamed
+/// arrival cursor) against.
+#[cfg(test)]
+pub(crate) struct HeapEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    last_popped: SimTime,
 }
 
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
+#[cfg(test)]
 impl<E> HeapEventQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            last_popped: SimTime::ZERO,
         }
     }
 
-    /// Create an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Schedule `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.last_popped,
-            "scheduling into the past: {at:?} < {:?}",
-            self.last_popped
-        );
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry {
@@ -401,223 +483,17 @@ impl<E> HeapEventQueue<E> {
         }));
     }
 
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(e) = self.heap.pop()?;
-        self.last_popped = e.time;
         Some((e.time, e.event))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Restore the pristine `HeapEventQueue::new()` state while keeping
-    /// the heap allocation (see [`EventQueue::reset`]).
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.last_popped = SimTime::ZERO;
-    }
-}
-
-/// Live-pending count at which [`AdaptiveEventQueue`] migrates from the
-/// binary heap to the timing wheel. Chosen from the measured heap/wheel
-/// crossover of the hold-model benchmark (`perf_baseline`, see
-/// BENCH_PR10.json): on the reference container the heap wins up to
-/// ~16k pending (cache-resident sift beats cascade bookkeeping) and
-/// the wheel wins from ~32k up, so the switch sits at the top of the
-/// heap's regime — a queue that grows past it is headed for the sizes
-/// where the wheel's win is large (1.2× at 64k, ~7× at 1M), while the
-/// crossover zone itself is within a few percent either way.
-/// Compile-time fixed — the migration point must be a pure function of
-/// the event sequence, never of wall-clock measurements.
-pub const ADAPTIVE_MIGRATION_THRESHOLD: usize = 16_384;
-
-/// Size-adaptive event queue: a [`HeapEventQueue`]-style binary heap
-/// while pending events are few, migrating **once** into the
-/// [`EventQueue`] timing wheel when live pending reaches
-/// [`ADAPTIVE_MIGRATION_THRESHOLD`].
-///
-/// Both underlying queues pop in strict `(time, seq)` order and the
-/// migration moves every entry with its already-assigned pair, so the
-/// pop sequence is identical to either structure run alone — the
-/// property tests drive all three through the same interleavings. The
-/// wheel allocation is retained across [`AdaptiveEventQueue::reset`],
-/// so a workspace-reused queue pays the wheel's slot-table allocation
-/// at most once per worker thread.
-pub struct AdaptiveEventQueue<E> {
-    /// Small-regime store (pre-migration).
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Large-regime store, stored inline so post-migration operations
-    /// pay no pointer hop — its slot table is one ~10 KB allocation at
-    /// construction, retained across `reset` for workspace reuse.
-    wheel: EventQueue<E>,
-    /// True once migrated: every operation delegates to the wheel.
-    on_wheel: bool,
-    threshold: usize,
-    next_seq: u64,
-    last_popped: SimTime,
-    /// Cumulative heap→wheel migrations (diagnostic; survives `reset`
-    /// so sweep harnesses can difference it across cells).
-    migrations: u64,
-}
-
-impl<E> Default for AdaptiveEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> AdaptiveEventQueue<E> {
-    /// Create an empty queue with the production migration threshold.
-    pub fn new() -> Self {
-        Self::with_threshold(ADAPTIVE_MIGRATION_THRESHOLD)
-    }
-
-    /// Create an empty queue migrating at `threshold` pending events
-    /// (minimum 1). The property tests use small thresholds to drive
-    /// interleavings across the migration point; production code uses
-    /// [`AdaptiveEventQueue::new`].
-    pub fn with_threshold(threshold: usize) -> Self {
-        AdaptiveEventQueue {
-            heap: BinaryHeap::new(),
-            wheel: EventQueue::new(),
-            on_wheel: false,
-            threshold: threshold.max(1),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-            migrations: 0,
-        }
-    }
-
-    /// Move every heap entry into the wheel, preserving `(time, seq)`.
-    /// The wheel starts positioned at the last popped timestamp — every
-    /// pending entry is at or after it (causality contract), and any
-    /// release-mode violator is clamped exactly as `schedule` clamps.
-    #[cold]
-    fn migrate(&mut self) {
-        let wheel = &mut self.wheel;
-        wheel.reset();
-        wheel.elapsed = self.last_popped.0;
-        wheel.last_popped = self.last_popped;
-        wheel.next_seq = self.next_seq;
-        wheel.len = self.heap.len();
-        for Reverse(entry) in self.heap.drain() {
-            let t = entry.time.0.max(wheel.elapsed);
-            wheel.place_at(t, entry);
-        }
-        self.on_wheel = true;
-        self.migrations += 1;
-    }
-
-    /// Schedule `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `at` is earlier than the most recently
-    /// popped timestamp (scheduling into the past breaks causality).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        if self.on_wheel {
-            return self.wheel.schedule(at, event);
-        }
-        debug_assert!(
-            at >= self.last_popped,
-            "scheduling into the past: {at:?} < {:?}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            event,
-        }));
-        if self.heap.len() >= self.threshold {
-            self.migrate();
-        }
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.on_wheel {
-            return self.wheel.pop();
-        }
-        let Reverse(e) = self.heap.pop()?;
-        self.last_popped = e.time;
-        Some((e.time, e.event))
-    }
-
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.on_wheel {
-            return self.wheel.peek_time();
-        }
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        if self.on_wheel {
-            return self.wheel.len();
-        }
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all pending events (position and sequence counter retained,
-    /// matching the other queues' `clear`; the current heap/wheel mode
-    /// is also retained).
-    pub fn clear(&mut self) {
-        if self.on_wheel {
-            return self.wheel.clear();
-        }
-        self.heap.clear();
-    }
-
-    /// Restore the pristine `AdaptiveEventQueue::new()` observable
-    /// state — empty, heap mode, position and sequence counter at zero
-    /// — while keeping the heap and wheel allocations (and the
-    /// cumulative [`AdaptiveEventQueue::migrations`] diagnostic). See
-    /// [`EventQueue::reset`].
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.wheel.reset();
-        self.on_wheel = false;
-        self.next_seq = 0;
-        self.last_popped = SimTime::ZERO;
-    }
-
-    /// Cumulative heap→wheel migrations since construction (not zeroed
-    /// by [`AdaptiveEventQueue::reset`]; sweep harnesses difference it
-    /// across cells).
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// True once this queue has migrated onto the timing wheel (resets
-    /// back to the heap on [`AdaptiveEventQueue::reset`]).
-    pub fn on_wheel(&self) -> bool {
-        self.on_wheel
     }
 }
 
@@ -638,7 +514,7 @@ mod tests {
 
     #[test]
     fn fifo_among_equal_times() {
-        let mut q = EventQueue::new();
+        let mut q = Wheel::new();
         for i in 0..100 {
             q.schedule(SimTime::from_us(7), i);
         }
@@ -655,7 +531,7 @@ mod tests {
         q.schedule(SimTime::from_ns(2), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(2)));
-        q.clear();
+        q.reset();
         assert!(q.is_empty());
     }
 
@@ -671,7 +547,7 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_pop_is_stable() {
-        let mut q = EventQueue::new();
+        let mut q = Wheel::new();
         let t = SimTime::from_us(1);
         q.schedule(t, 1);
         q.schedule(t, 2);
@@ -685,7 +561,7 @@ mod tests {
     fn same_time_insert_mid_batch_delivers_after_pending() {
         // Schedule three at t, pop one (batch now mid-delivery), then
         // schedule a fourth at t: it must pop last (largest seq).
-        let mut q = EventQueue::new();
+        let mut q = Wheel::new();
         let t = SimTime::from_us(9);
         for i in 0..3 {
             q.schedule(t, i);
@@ -698,14 +574,14 @@ mod tests {
 
     #[test]
     fn far_future_goes_through_overflow_and_back() {
-        let mut q = EventQueue::new();
+        let mut q = Wheel::new();
         // Beyond the 2^42 ps wheel span from t=0.
         let far = SimTime::from_secs(60);
         let farther = SimTime::from_secs(61);
         q.schedule(far, "far");
         q.schedule(farther, "farther");
         q.schedule(SimTime::from_us(1), "near");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len, 3);
         assert_eq!(q.pop().unwrap(), (SimTime::from_us(1), "near"));
         assert_eq!(q.pop().unwrap(), (far, "far"));
         // After migrating, nearer events can still be scheduled.
@@ -719,7 +595,7 @@ mod tests {
     fn cascades_across_levels() {
         // Events spread over several orders of magnitude exercise every
         // wheel level and the cascade path.
-        let mut q = EventQueue::new();
+        let mut q = Wheel::new();
         let times: Vec<u64> = (0..20).map(|i| 1u64 << i).chain([0, 63, 64, 65]).collect();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_ps(t), i);
@@ -734,7 +610,7 @@ mod tests {
 
     #[test]
     fn heap_reference_agrees_on_dense_schedule() {
-        let mut wheel = EventQueue::new();
+        let mut wheel = Wheel::new();
         let mut heap = HeapEventQueue::new();
         // Deterministic pseudo-random times with heavy collisions.
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -757,32 +633,29 @@ mod tests {
 
     #[test]
     fn adaptive_migrates_once_and_keeps_fifo() {
-        let mut q = AdaptiveEventQueue::with_threshold(8);
+        let mut q = EventQueue::with_threshold(8);
         let t = SimTime::from_us(3);
         // Cross the threshold with heavy same-timestamp collisions: the
         // migration must carry the heap-assigned sequence numbers.
         for i in 0..20 {
             q.schedule(t, i);
         }
-        assert!(q.on_wheel(), "threshold crossed: must be on the wheel");
-        assert_eq!(q.migrations(), 1);
+        assert!(q.on_wheel, "threshold crossed: must be on the wheel");
         assert_eq!(q.len(), 20);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..20).collect::<Vec<_>>());
         // Draining does not demote: the queue migrates once.
         q.schedule(t, 99);
-        assert!(q.on_wheel());
-        assert_eq!(q.migrations(), 1);
+        assert!(q.on_wheel);
     }
 
     #[test]
     fn adaptive_below_threshold_stays_on_heap() {
-        let mut q = AdaptiveEventQueue::with_threshold(64);
+        let mut q = EventQueue::with_threshold(64);
         for i in 0..63 {
             q.schedule(SimTime::from_us(i), i);
         }
-        assert!(!q.on_wheel());
-        assert_eq!(q.migrations(), 0);
+        assert!(!q.on_wheel);
         assert_eq!(q.peek_time(), Some(SimTime::from_us(0)));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..63).collect::<Vec<_>>());
@@ -792,22 +665,22 @@ mod tests {
     fn adaptive_migration_through_overflow_times() {
         // Entries past the 2^42 ps wheel horizon at migration time must
         // come back in order through the wheel's overflow heap.
-        let mut q = AdaptiveEventQueue::with_threshold(4);
+        let mut q = EventQueue::with_threshold(4);
         q.schedule(SimTime::from_secs(60), "far");
         q.schedule(SimTime::from_us(1), "near");
         q.schedule(SimTime::from_secs(61), "farther");
         q.schedule(SimTime::from_us(2), "soon");
-        assert!(q.on_wheel());
+        assert!(q.on_wheel);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["near", "soon", "far", "farther"]);
     }
 
     #[test]
     fn reset_restores_pristine_state() {
-        // Drive all three queues through a run, reset, and require the
-        // second run's pops to be identical to a fresh queue's — the
+        // Drive a queue through a run that migrates, reset, and require
+        // the second run's pops to be identical to the first — the
         // workspace-reuse contract.
-        let script = |q: &mut AdaptiveEventQueue<u64>| {
+        let script = |q: &mut EventQueue<u64>| {
             let mut popped = Vec::new();
             for i in 0..12u64 {
                 q.schedule(SimTime::from_us(7 + (i % 3)), i);
@@ -817,17 +690,16 @@ mod tests {
             }
             popped
         };
-        let mut reused = AdaptiveEventQueue::with_threshold(8);
+        let mut reused = EventQueue::with_threshold(8);
         let first = script(&mut reused);
-        assert_eq!(reused.migrations(), 1);
+        assert!(reused.on_wheel);
         reused.reset();
-        assert!(!reused.on_wheel(), "reset returns to the heap regime");
+        assert!(!reused.on_wheel, "reset returns to the heap regime");
         assert!(reused.is_empty());
         let second = script(&mut reused);
         assert_eq!(first, second);
-        assert_eq!(reused.migrations(), 2, "cumulative across resets");
 
-        let mut wheel = EventQueue::new();
+        let mut wheel = Wheel::new();
         wheel.schedule(SimTime::from_us(5), 1u64);
         let _ = wheel.pop();
         wheel.schedule(SimTime::from_us(9), 2u64);
@@ -839,13 +711,6 @@ mod tests {
         assert_eq!(wheel.pop(), Some((SimTime::from_us(1), 3u64)));
         assert_eq!(wheel.pop(), Some((SimTime::from_us(1), 4u64)));
         assert!(wheel.pop().is_none());
-
-        let mut heap = HeapEventQueue::new();
-        heap.schedule(SimTime::from_us(5), 1u64);
-        let _ = heap.pop();
-        heap.reset();
-        heap.schedule(SimTime::from_us(1), 2u64);
-        assert_eq!(heap.pop(), Some((SimTime::from_us(1), 2u64)));
     }
 
     proptest::proptest! {
@@ -869,8 +734,6 @@ mod tests {
                 last = (t, i);
             }
             proptest::prop_assert_eq!(popped, times.len());
-            // keep SimDuration import used
-            let _ = SimDuration::ZERO;
         }
 
         /// The wheel agrees with the binary-heap reference model on
@@ -882,7 +745,7 @@ mod tests {
         fn prop_matches_heap_reference(
             ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
         ) {
-            let mut wheel = EventQueue::new();
+            let mut wheel = Wheel::new();
             let mut heap = HeapEventQueue::new();
             let mut now = SimTime::ZERO;
             let mut next_id = 0u64;
@@ -927,18 +790,18 @@ mod tests {
             }
         }
 
-        /// The adaptive queue agrees with BOTH references — the binary
-        /// heap and the timing wheel — on arbitrary push/pop
-        /// interleavings whose pending count wanders across the
-        /// migration threshold (small thresholds force the migration to
-        /// happen mid-interleaving, in every offset regime).
+        /// The queue agrees with BOTH references — the binary heap and
+        /// the bare timing wheel — on arbitrary push/pop interleavings
+        /// whose pending count wanders across the migration threshold
+        /// (small thresholds force the migration to happen
+        /// mid-interleaving, in every offset regime).
         #[test]
         fn prop_adaptive_matches_both_references(
             ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
             threshold in 1usize..48,
         ) {
-            let mut adaptive = AdaptiveEventQueue::with_threshold(threshold);
-            let mut wheel = EventQueue::new();
+            let mut adaptive = EventQueue::with_threshold(threshold);
+            let mut wheel = Wheel::new();
             let mut heap = HeapEventQueue::new();
             let mut now = SimTime::ZERO;
             let mut next_id = 0u64;

@@ -1,15 +1,15 @@
 //! Per-worker reusable simulation state: [`SimWorkspace`] is the bundle
 //! a sweep worker thread carries from cell to cell so that event-queue
-//! storage, step pools, scratch vectors, telemetry buffers, and
-//! prediction-cache tables are allocated once per worker instead of
-//! once per cell.
+//! storage, step buffers and scratch maps are allocated once per worker
+//! instead of once per cell (the storage-node trace runner behind every
+//! weight sweep is the consumer).
 //!
 //! # Reset contract
 //!
 //! Sweep throughput must never buy nondeterminism. Every type stored in
 //! a workspace implements [`Scratch`]: `Default` construction plus a
 //! `reset` that restores the **observable** `Default` state while
-//! keeping allocations. Consumers (e.g. `system_sim::run_system_in`)
+//! keeping allocations. Consumers (`storage_node::run_trace_windowed_in`)
 //! call `reset` on their scratch **at the start of every run**, before
 //! any state is read — so even a scratch left dirty by a panicking or
 //! truncated previous cell cannot leak into the next one, and a cell's
@@ -22,8 +22,8 @@
 //! Slots are keyed by type: each consumer defines one private scratch
 //! struct holding everything its run reuses and fetches it with
 //! [`SimWorkspace::slot`]. Different consumers compose in one workspace
-//! without coordination (a worker running system cells and node-level
-//! sweep cells back to back holds one scratch of each type).
+//! without coordination (a worker running two kinds of cells back to
+//! back holds one scratch of each type).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -33,9 +33,6 @@ use std::collections::HashMap;
 ///
 /// `reset` must leave the value indistinguishable — through its public
 /// API and in every effect on a simulation — from `T::default()`.
-/// Purely diagnostic counters that no simulation result can observe
-/// (e.g. cumulative queue-migration counts) may survive a reset, but
-/// nothing else.
 pub trait Scratch: Default + Send + 'static {
     /// Restore the observable `Default` state, keeping allocations.
     fn reset(&mut self);

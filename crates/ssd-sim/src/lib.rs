@@ -17,28 +17,31 @@
 //! * **Greedy garbage collection** — when free pages run low, GC copies
 //!   valid pages (read + program per copy), stealing chip time.
 //!
-//! The simulator is caller-driven: [`Ssd::submit`] and [`Ssd::handle`]
-//! return newly scheduled `(SimTime, SsdEvent)` pairs and completions;
-//! the owner (the storage-node loop) owns the event queue. Configurations
-//! for the paper's SSD-A/B/C (Table II) are in [`config`].
+//! The simulator is caller-driven: [`Ssd::submit_into`] and
+//! [`Ssd::handle_into`] append newly scheduled `(SimTime, SsdEvent)`
+//! pairs and completions to a caller-owned [`SsdStep`]; the owner (the
+//! storage-node loop) owns the event queue. Configurations for the
+//! paper's SSD-A/B/C (Table II) are in [`config`].
 //!
 //! # Example
 //!
 //! ```
-//! use ssd_sim::{Ssd, SsdCommand, SsdConfig};
+//! use ssd_sim::{Ssd, SsdCommand, SsdConfig, SsdStep};
 //! use sim_engine::{EventQueue, SimTime};
 //! use workload::IoType;
 //!
 //! let mut ssd = Ssd::new(SsdConfig::ssd_b());
 //! let mut q = EventQueue::new();
-//! let step = ssd.submit(SsdCommand { id: 1, op: IoType::Read,
-//!     lba: 0, size: 16 * 1024 }, SimTime::ZERO);
-//! for (t, e) in step.schedule { q.schedule(t, e); }
+//! let mut step = SsdStep::default();
+//! ssd.submit_into(SsdCommand { id: 1, op: IoType::Read,
+//!     lba: 0, size: 16 * 1024 }, SimTime::ZERO, &mut step);
 //! let mut done = 0;
-//! while let Some((t, e)) = q.pop() {
-//!     let s = ssd.handle(e, t);
-//!     done += s.completions.len();
-//!     for (t2, e2) in s.schedule { q.schedule(t2, e2); }
+//! loop {
+//!     done += step.completions.len();
+//!     for &(t, e) in &step.schedule { q.schedule(t, e); }
+//!     let Some((t, e)) = q.pop() else { break };
+//!     step.clear();
+//!     ssd.handle_into(e, t, &mut step);
 //! }
 //! assert_eq!(done, 1);
 //! ```

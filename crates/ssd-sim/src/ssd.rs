@@ -350,19 +350,9 @@ impl Ssd {
         self.ftl.write_amplification()
     }
 
-    /// Submit one command. Returns events to schedule (completions and
-    /// releases arrive later via [`Ssd::handle`]).
-    ///
-    /// # Panics
-    /// Panics if a command with the same id is already in flight.
-    pub fn submit(&mut self, cmd: SsdCommand, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.submit_into(cmd, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`Ssd::submit`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// Submit one command, appending the events it schedules to the
+    /// caller-owned `step` (completions and releases arrive later via
+    /// [`Ssd::handle_into`]).
     ///
     /// # Panics
     /// Panics if a command with the same id is already in flight.
@@ -422,15 +412,8 @@ impl Ssd {
         }
     }
 
-    /// Advance the model on one of its own events.
-    pub fn handle(&mut self, ev: SsdEvent, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.handle_into(ev, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`Ssd::handle`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// Advance the model on one of its own events, appending its
+    /// outputs to the caller-owned `step`.
     pub fn handle_into(&mut self, ev: SsdEvent, now: SimTime, step: &mut SsdStep) {
         match ev {
             SsdEvent::ChipDone { chip } => self.on_chip_done(chip, now, step),
@@ -682,7 +665,8 @@ mod tests {
         let cfg = SsdConfig::ssd_a();
         let mut ssd = Ssd::new(cfg.clone());
         let mut q = sim_engine::EventQueue::new();
-        let step = ssd.submit(
+        let mut step = SsdStep::default();
+        ssd.submit_into(
             SsdCommand {
                 id: 1,
                 op: IoType::Read,
@@ -690,20 +674,20 @@ mod tests {
                 size: 16 * 1024,
             },
             SimTime::ZERO,
+            &mut step,
         );
         assert!(step.completions.is_empty());
-        for (t, e) in step.schedule {
-            q.schedule(t, e);
-        }
         let mut done_at = None;
-        while let Some((t, e)) = q.pop() {
-            let s = ssd.handle(e, t);
-            for c in s.completions {
+        loop {
+            for c in &step.completions {
                 done_at = Some(c.at);
             }
-            for (t2, e2) in s.schedule {
+            for &(t2, e2) in &step.schedule {
                 q.schedule(t2, e2);
             }
+            let Some((t, e)) = q.pop() else { break };
+            step.clear();
+            ssd.handle_into(e, t, &mut step);
         }
         // First access always misses the CMT: read = 2*75us cell (map +
         // data) + 40.96us transfer.
@@ -720,7 +704,8 @@ mod tests {
         let cfg = SsdConfig::ssd_a();
         let mut ssd = Ssd::new(cfg.clone());
         let mut q = sim_engine::EventQueue::new();
-        let step = ssd.submit(
+        let mut step = SsdStep::default();
+        ssd.submit_into(
             SsdCommand {
                 id: 1,
                 op: IoType::Read,
@@ -728,15 +713,16 @@ mod tests {
                 size: 16 * 1024,
             },
             SimTime::ZERO,
+            &mut step,
         );
-        for (t, e) in step.schedule {
-            q.schedule(t, e);
-        }
         let mut end = SimTime::ZERO;
-        while let Some((t, e)) = q.pop() {
-            for (t2, e2) in ssd.handle(e, t).schedule {
+        loop {
+            for &(t2, e2) in &step.schedule {
                 q.schedule(t2, e2);
             }
+            let Some((t, e)) = q.pop() else { break };
+            step.clear();
+            ssd.handle_into(e, t, &mut step);
             end = t;
         }
         let (channels, chips) = ssd.busy_ps(end);
@@ -750,7 +736,8 @@ mod tests {
         );
         // Mid-service credit: a fresh submit makes a chip busy, and the
         // accumulated time keeps growing with `now` while it serves.
-        let step = ssd.submit(
+        step.clear();
+        ssd.submit_into(
             SsdCommand {
                 id: 2,
                 op: IoType::Read,
@@ -758,6 +745,7 @@ mod tests {
                 size: 4096,
             },
             end,
+            &mut step,
         );
         assert!(!step.schedule.is_empty());
         let (_, before) = ssd.busy_ps(end);
@@ -773,7 +761,8 @@ mod tests {
         let cfg = SsdConfig::ssd_a();
         let mut ssd = Ssd::new(cfg.clone());
         let t0 = SimTime::from_us(5);
-        let step = ssd.submit(
+        let mut step = SsdStep::default();
+        ssd.submit_into(
             SsdCommand {
                 id: 7,
                 op: IoType::Write,
@@ -781,6 +770,7 @@ mod tests {
                 size: 16 * 1024,
             },
             t0,
+            &mut step,
         );
         // Nothing completes at submit; one bus transfer scheduled.
         assert!(step.completions.is_empty());
@@ -789,7 +779,8 @@ mod tests {
         assert_eq!(t, t0 + cfg.page_transfer_time());
         // The transfer landing completes the (cached) write and starts a
         // background program.
-        let s2 = ssd.handle(ev, t);
+        let mut s2 = SsdStep::default();
+        ssd.handle_into(ev, t, &mut s2);
         assert_eq!(s2.completions.len(), 1);
         assert_eq!(s2.completions[0].at, t);
         assert_eq!(ssd.stats().cached_writes, 1);
@@ -801,7 +792,8 @@ mod tests {
         let cfg = SsdConfig::ssd_a();
         let mut ssd = Ssd::new(cfg);
         // 44 KB = 3 pages of 16 KiB.
-        let step = ssd.submit(
+        let mut step = SsdStep::default();
+        ssd.submit_into(
             SsdCommand {
                 id: 1,
                 op: IoType::Read,
@@ -809,6 +801,7 @@ mod tests {
                 size: 44_000,
             },
             SimTime::ZERO,
+            &mut step,
         );
         // Nothing completes at submit; three cell reads scheduled across
         // chips.
@@ -826,8 +819,9 @@ mod tests {
             lba: 0,
             size: 4096,
         };
-        let _ = ssd.submit(c, SimTime::ZERO);
-        let _ = ssd.submit(c, SimTime::ZERO);
+        let mut step = SsdStep::default();
+        ssd.submit_into(c, SimTime::ZERO, &mut step);
+        ssd.submit_into(c, SimTime::ZERO, &mut step);
     }
 
     #[test]
@@ -863,8 +857,10 @@ mod tests {
         // last host completion).
         let mut ssd = Ssd::new(cfg);
         let mut q = sim_engine::EventQueue::new();
+        let mut step = SsdStep::default();
         for i in 0..400u64 {
-            let s = ssd.submit(
+            step.clear();
+            ssd.submit_into(
                 SsdCommand {
                     id: i,
                     op: IoType::Write,
@@ -872,14 +868,16 @@ mod tests {
                     size: 16 * 1024,
                 },
                 SimTime::from_us(i),
+                &mut step,
             );
-            for (t, e) in s.schedule {
+            for &(t, e) in &step.schedule {
                 q.schedule(t, e);
             }
         }
         while let Some((t, e)) = q.pop() {
-            let s = ssd.handle(e, t);
-            for (t2, e2) in s.schedule {
+            step.clear();
+            ssd.handle_into(e, t, &mut step);
+            for &(t2, e2) in &step.schedule {
                 q.schedule(t2, e2);
             }
         }

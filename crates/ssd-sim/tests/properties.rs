@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sim_engine::{EventQueue, SimTime};
-use ssd_sim::{Ssd, SsdCommand, SsdConfig, SsdEvent};
+use ssd_sim::{Ssd, SsdCommand, SsdConfig, SsdEvent, SsdStep};
 use std::collections::HashSet;
 use workload::IoType;
 
@@ -16,30 +16,35 @@ fn drive(cfg: SsdConfig, cmds: &[SsdCommand]) -> (Vec<u64>, Vec<u64>) {
     pending.reverse();
     let mut completed = Vec::new();
     let mut released = Vec::new();
+    let mut step = SsdStep::default();
+    let mut refill = SsdStep::default();
 
     // Initial fill up to the queue depth.
     for _ in 0..qd {
         let Some(c) = pending.pop() else { break };
-        let step = ssd.submit(c, SimTime::ZERO);
-        for (t, e) in step.schedule {
+        step.clear();
+        ssd.submit_into(c, SimTime::ZERO, &mut step);
+        for &(t, e) in &step.schedule {
             q.schedule(t, e);
         }
     }
     while let Some((t, e)) = q.pop() {
-        let step = ssd.handle(e, t);
-        for c in step.completions {
+        step.clear();
+        ssd.handle_into(e, t, &mut step);
+        for c in &step.completions {
             completed.push(c.id);
         }
-        for r in step.releases {
+        for r in &step.releases {
             released.push(r.id);
             if let Some(c) = pending.pop() {
-                let s2 = ssd.submit(c, t);
-                for (t2, e2) in s2.schedule {
+                refill.clear();
+                ssd.submit_into(c, t, &mut refill);
+                for &(t2, e2) in &refill.schedule {
                     q.schedule(t2, e2);
                 }
             }
         }
-        for (t2, e2) in step.schedule {
+        for &(t2, e2) in &step.schedule {
             q.schedule(t2, e2);
         }
     }
@@ -97,24 +102,31 @@ proptest! {
         let qd = cfg.queue_depth;
         let mut ssd = Ssd::new(cfg);
         let mut q: EventQueue<SsdEvent> = EventQueue::new();
+        let mut step = SsdStep::default();
+        let mut refill = SsdStep::default();
         let mut i = 0usize;
         while i < cmds.len().min(qd) {
-            for (t, e) in ssd.submit(cmds[i], SimTime::ZERO).schedule {
+            step.clear();
+            ssd.submit_into(cmds[i], SimTime::ZERO, &mut step);
+            for &(t, e) in &step.schedule {
                 q.schedule(t, e);
             }
             i += 1;
         }
         while let Some((t, e)) = q.pop() {
-            let step = ssd.handle(e, t);
-            for _r in step.releases {
+            step.clear();
+            ssd.handle_into(e, t, &mut step);
+            for _r in &step.releases {
                 if i < cmds.len() {
-                    for (t2, e2) in ssd.submit(cmds[i], t).schedule {
+                    refill.clear();
+                    ssd.submit_into(cmds[i], t, &mut refill);
+                    for &(t2, e2) in &refill.schedule {
                         q.schedule(t2, e2);
                     }
                     i += 1;
                 }
             }
-            for (t2, e2) in step.schedule {
+            for &(t2, e2) in &step.schedule {
                 q.schedule(t2, e2);
             }
         }

@@ -137,17 +137,10 @@ impl StorageNode {
     }
 
     /// Accept one request from above (application or NVMe-oF target
-    /// driver) and pump the device. When merging is configured and the
-    /// request was absorbed into an existing command, it will produce no
+    /// driver) and pump the device, appending the outputs to the
+    /// caller-owned `step`. When merging is configured and the request
+    /// was absorbed into an existing command, it will produce no
     /// separate completion.
-    pub fn submit(&mut self, req: Request, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.submit_into(req, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::submit`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
     pub fn submit_into(&mut self, req: Request, now: SimTime, step: &mut SsdStep) {
         let merged = self.disc.enqueue_or_merge(req);
         self.merged += merged as u64;
@@ -159,18 +152,11 @@ impl StorageNode {
         self.merged
     }
 
-    /// Advance on a device event; returns completions and new events.
-    /// Queue-depth slots are returned to the discipline on *releases*
-    /// (flash work finished), not on host completions — cached writes
-    /// complete early but keep their slot until the destage lands.
-    pub fn on_ssd_event(&mut self, ev: SsdEvent, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.on_ssd_event_into(ev, now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::on_ssd_event`]: appends
-    /// to a caller-owned step instead of returning a fresh one.
+    /// Advance on a device event, appending completions and new events
+    /// to the caller-owned `step`. Queue-depth slots are returned to the
+    /// discipline on *releases* (flash work finished), not on host
+    /// completions — cached writes complete early but keep their slot
+    /// until the destage lands.
     pub fn on_ssd_event_into(&mut self, ev: SsdEvent, now: SimTime, step: &mut SsdStep) {
         let rel_start = step.releases.len();
         self.ssd.handle_into(ev, now, step);
@@ -180,15 +166,8 @@ impl StorageNode {
         self.pump_into(now, step);
     }
 
-    /// Move fetchable commands into the SSD, honoring the read gate.
-    pub fn pump(&mut self, now: SimTime) -> SsdStep {
-        let mut step = SsdStep::default();
-        self.pump_into(now, &mut step);
-        step
-    }
-
-    /// Allocation-free variant of [`StorageNode::pump`]: appends to a
-    /// caller-owned step instead of returning a fresh one.
+    /// Move fetchable commands into the SSD, honoring the read gate;
+    /// outputs are appended to the caller-owned `step`.
     pub fn pump_into(&mut self, now: SimTime, step: &mut SsdStep) {
         while let Some(cmd) = self.disc.fetch_gated(self.read_gate_open) {
             let (n_compl, n_rel) = (step.completions.len(), step.releases.len());
@@ -307,10 +286,12 @@ mod tests {
 
     fn drain(node: &mut StorageNode, q: &mut EventQueue<SsdEvent>) -> Vec<CommandCompletion> {
         let mut out = Vec::new();
+        let mut s = SsdStep::default();
         while let Some((t, e)) = q.pop() {
-            let s = node.on_ssd_event(e, t);
-            out.extend(s.completions);
-            for (t2, e2) in s.schedule {
+            s.clear();
+            node.on_ssd_event_into(e, t, &mut s);
+            out.extend_from_slice(&s.completions);
+            for &(t2, e2) in &s.schedule {
                 q.schedule(t2, e2);
             }
         }
@@ -321,8 +302,9 @@ mod tests {
     fn submit_and_complete() {
         let mut node = StorageNode::new(&NodeConfig::default());
         let mut q = EventQueue::new();
-        let s = node.submit(req(1, IoType::Read, 16 * 1024), SimTime::ZERO);
-        for (t, e) in s.schedule {
+        let mut s = SsdStep::default();
+        node.submit_into(req(1, IoType::Read, 16 * 1024), SimTime::ZERO, &mut s);
+        for &(t, e) in &s.schedule {
             q.schedule(t, e);
         }
         let done = drain(&mut node, &mut q);
@@ -334,13 +316,14 @@ mod tests {
     fn read_gate_blocks_reads() {
         let mut node = StorageNode::new(&NodeConfig::default());
         node.set_read_gate(false);
-        let s = node.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
+        let mut s = SsdStep::default();
+        node.submit_into(req(1, IoType::Read, 4096), SimTime::ZERO, &mut s);
         assert!(s.schedule.is_empty(), "gated read must not start");
         assert_eq!(node.ssd().in_flight(), 0);
         assert_eq!(node.discipline().queued(), 1);
         // Reopen and pump.
         node.set_read_gate(true);
-        let s = node.pump(SimTime::ZERO);
+        node.pump_into(SimTime::ZERO, &mut s);
         assert!(!s.schedule.is_empty());
         assert_eq!(node.ssd().in_flight(), 1);
     }
@@ -353,8 +336,9 @@ mod tests {
             ..NodeConfig::default()
         });
         fifo.set_read_gate(false);
-        let _ = fifo.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
-        let _ = fifo.submit(req(2, IoType::Write, 4096), SimTime::ZERO);
+        let mut s = SsdStep::default();
+        fifo.submit_into(req(1, IoType::Read, 4096), SimTime::ZERO, &mut s);
+        fifo.submit_into(req(2, IoType::Write, 4096), SimTime::ZERO, &mut s);
         assert_eq!(fifo.ssd().in_flight(), 0, "FIFO head-of-line blocks");
 
         // SSQ: the write proceeds while reads are gated.
@@ -363,8 +347,8 @@ mod tests {
             ..NodeConfig::default()
         });
         ssq.set_read_gate(false);
-        let _ = ssq.submit(req(1, IoType::Read, 4096), SimTime::ZERO);
-        let _ = ssq.submit(req(2, IoType::Write, 4096), SimTime::ZERO);
+        ssq.submit_into(req(1, IoType::Read, 4096), SimTime::ZERO, &mut s);
+        ssq.submit_into(req(2, IoType::Write, 4096), SimTime::ZERO, &mut s);
         assert_eq!(ssq.ssd().in_flight(), 1, "SSQ serves writes past the gate");
         assert_eq!(ssq.discipline().queued_of(IoType::Read), 1);
     }
@@ -396,8 +380,9 @@ mod tests {
             merge_cap: None,
         };
         let mut node = StorageNode::new(&cfg);
+        let mut s = SsdStep::default();
         for i in 0..10 {
-            let _ = node.submit(req(i, IoType::Read, 16 * 1024), SimTime::ZERO);
+            node.submit_into(req(i, IoType::Read, 16 * 1024), SimTime::ZERO, &mut s);
         }
         assert_eq!(node.ssd().in_flight(), 4);
         assert_eq!(node.discipline().queued(), 6);

@@ -4,8 +4,8 @@
 use crate::node::{NodeConfig, StorageNode};
 use crate::report::NodeReport;
 use sim_engine::{
-    AdaptiveEventQueue, ArrivalCursor, FastMap, NullSink, Scratch, SimDuration, SimTime,
-    SimWorkspace, TraceRecord, TraceSink,
+    ArrivalCursor, EventQueue, FastMap, NullSink, Scratch, SimDuration, SimTime, SimWorkspace,
+    TraceRecord, TraceSink,
 };
 use ssd_sim::SsdEvent;
 use workload::{IoType, Trace};
@@ -20,14 +20,13 @@ enum Ev {
     SetWeight(u32),
 }
 
-/// Per-worker reusable state for the trace runner (the device-level
-/// analogue of system-sim's workspace scratch): the event queue, the
+/// Per-worker reusable state for the trace runner: the event queue, the
 /// SSD step buffer, and the submit-time map keep their allocations
 /// across runs. `reset` restores observable `Default`, keeping heap
 /// capacity.
 #[derive(Default)]
 struct TraceScratch {
-    queue: AdaptiveEventQueue<Ev>,
+    queue: EventQueue<Ev>,
     step: ssd_sim::SsdStep,
     submit_time: FastMap<u64, SimTime>,
 }
@@ -354,7 +353,7 @@ mod tests {
     ) -> (NodeReport, usize) {
         use std::collections::{HashMap, HashSet};
         let mut node = StorageNode::new(cfg);
-        let mut q = AdaptiveEventQueue::new();
+        let mut q = EventQueue::new();
         let mut step = ssd_sim::SsdStep::default();
         let mut submit_time: HashMap<u64, SimTime> = HashMap::new();
         let mut report = NodeReport::new(BIN);

@@ -6,11 +6,11 @@
 //! reactive stepper needs one control period per weight step, while the
 //! TPM controller jumps straight to Algorithm 1's answer.
 
-use sim_engine::{AdaptiveEventQueue, ArrivalCursor, SimDuration, SimTime, TimeBinSeries};
+use sim_engine::{ArrivalCursor, EventQueue, SimDuration, SimTime, TimeBinSeries};
 use src_core::algorithm::CongestionEvent;
 use src_core::reactive::RateController;
 use src_core::WorkloadMonitor;
-use ssd_sim::SsdEvent;
+use ssd_sim::{SsdEvent, SsdStep};
 use storage_node::{DisciplineKind, NodeConfig, StorageNode};
 use workload::{IoType, Trace};
 
@@ -93,7 +93,8 @@ pub fn run_controlled(
         settle_ms: vec![f64::NAN; events.len()],
     };
 
-    let mut q: AdaptiveEventQueue<Ev> = AdaptiveEventQueue::new();
+    let mut q: EventQueue<Ev> = EventQueue::new();
+    let mut step = SsdStep::default();
     let mut arrivals = ArrivalCursor::new(
         trace
             .requests()
@@ -117,13 +118,15 @@ pub fn run_controlled(
             Ev::Arrival(i) => {
                 let r = trace.requests()[i];
                 monitor.observe(&r, now);
-                let step = node.submit(r, now);
-                for (t, e) in step.schedule {
+                step.clear();
+                node.submit_into(r, now, &mut step);
+                for &(t, e) in &step.schedule {
                     q.schedule(t, Ev::Ssd(e));
                 }
             }
             Ev::Ssd(e) => {
-                let step = node.on_ssd_event(e, now);
+                step.clear();
+                node.on_ssd_event_into(e, now, &mut step);
                 for c in &step.completions {
                     match c.op {
                         IoType::Read => {
@@ -133,7 +136,7 @@ pub fn run_controlled(
                         IoType::Write => res.write_series.add(now, c.size as f64),
                     }
                 }
-                for (t, e2) in step.schedule {
+                for &(t, e2) in &step.schedule {
                     q.schedule(t, Ev::Ssd(e2));
                 }
             }
@@ -151,8 +154,9 @@ pub fn run_controlled(
                     if let Some(w) = controller.control(d, measured, &ch, now) {
                         node.set_weight_ratio(w);
                         res.weight_changes.push((now, w));
-                        let step = node.pump(now);
-                        for (t, e2) in step.schedule {
+                        step.clear();
+                        node.pump_into(now, &mut step);
+                        for &(t, e2) in &step.schedule {
                             q.schedule(t, Ev::Ssd(e2));
                         }
                     }

@@ -30,6 +30,4 @@ pub mod system;
 pub use config::{Mode, SystemConfig, SystemConfigBuilder, TopologyKind};
 pub use error::SimError;
 pub use report::SystemReport;
-pub use system::{
-    run_system, run_system_in, workspace_queue_migrations, RobustnessConfig, RunOptions,
-};
+pub use system::{run_system, RobustnessConfig, RunOptions};

@@ -9,10 +9,10 @@ use net_sim::topology::{build_clos, build_star, NodeId};
 use net_sim::FlowId;
 use serde::{Deserialize, Serialize};
 use sim_engine::{
-    AdaptiveEventQueue, ArrivalCursor, FastMap, FaultKind, FaultPlan, FaultScope, Scratch,
-    SimDuration, SimTime, SimWorkspace, TraceRecord, TraceSink,
+    ArrivalCursor, EventQueue, FastMap, FaultKind, FaultPlan, FaultScope, SimDuration, SimTime,
+    TraceRecord, TraceSink,
 };
-use src_core::{PredictionCache, SrcController, ThroughputPredictionModel};
+use src_core::{SrcController, ThroughputPredictionModel};
 use ssd_sim::SsdEvent;
 use std::sync::Arc;
 use storage_node::{DisciplineKind, NodeConfig, StorageNode};
@@ -221,53 +221,14 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// Per-worker reusable simulation state for [`run_system_in`]: the
-/// adaptive event queue, the network/SSD step buffers, and the
-/// per-Target TPM prediction-cache storage all survive across runs
-/// inside one [`SimWorkspace`], so a sweep cell allocates (almost)
-/// nothing the previous cell already paid for.
-///
-/// `reset` restores every observable field to its `Default`, keeping
-/// heap capacity. The cumulative queue-migration counter is the one
-/// diagnostic that deliberately survives reset (see
-/// [`AdaptiveEventQueue::migrations`] and
-/// [`workspace_queue_migrations`]); it never feeds back into
-/// simulation results.
-#[derive(Default)]
-struct SystemScratch {
-    queue: AdaptiveEventQueue<Ev>,
-    net_step: NetStep,
-    io_step: NetStep,
-    ssd_scheds: Vec<(usize, ssd_sim::SsdStep)>,
-    ssd_pool: Vec<ssd_sim::SsdStep>,
-    notified: Vec<usize>,
-    tpm_caches: Vec<PredictionCache>,
-}
-
-impl Scratch for SystemScratch {
-    fn reset(&mut self) {
-        self.queue.reset();
-        while let Some((_, step)) = self.ssd_scheds.pop() {
-            self.ssd_pool.push(step);
-        }
-        for step in &mut self.ssd_pool {
-            step.clear();
-        }
-        self.net_step.clear();
-        self.io_step.clear();
-        self.notified.clear();
-        for cache in &mut self.tpm_caches {
-            cache.reset();
-        }
-    }
-}
-
-/// Cumulative [`AdaptiveEventQueue`] heap→wheel migrations performed by
-/// [`run_system_in`] calls against `ws` (a per-worker diagnostic for
-/// the benchmark suite; it survives workspace reuse by design and never
-/// appears in a [`SystemReport`]).
-pub fn workspace_queue_migrations(ws: &mut SimWorkspace) -> u64 {
-    ws.slot::<SystemScratch>().queue.migrations()
+/// Per-request retry bookkeeping (only allocated when a
+/// [`RobustnessConfig`] is active).
+#[derive(Clone, Copy)]
+struct ReqState {
+    /// Attempts issued so far (1 = the initial issue).
+    attempt: u32,
+    /// Completed or abandoned — later timeouts and retries are stale.
+    done: bool,
 }
 
 /// Run one full-system simulation.
@@ -296,22 +257,6 @@ pub fn run_system(
     opts: RunOptions<'_>,
     sink: &mut dyn TraceSink,
 ) -> SystemReport {
-    run_system_in(cfg, opts, &mut SimWorkspace::new(), sink)
-}
-
-/// [`run_system`] against caller-provided per-worker scratch storage:
-/// sweep workers hand the same [`SimWorkspace`] to every cell they
-/// claim, so the event queue, step pools, and prediction caches are
-/// allocated once per worker instead of once per run. The scratch is
-/// fully reset at the start of every run, so the report stays a pure
-/// function of `(cfg, opts, seed)` — byte-identical to [`run_system`]
-/// at any thread count (asserted by `tests/workspace_reuse.rs`).
-pub fn run_system_in(
-    cfg: &SystemConfig,
-    opts: RunOptions<'_>,
-    ws: &mut SimWorkspace,
-    sink: &mut dyn TraceSink,
-) -> SystemReport {
     if let TpmAssignment::PerTarget(tpms) = &opts.tpms {
         assert!(
             tpms.len() >= cfg.n_targets,
@@ -334,57 +279,22 @@ pub fn run_system_in(
     } else {
         Some(RobustnessConfig::default())
     });
-    run_system_inner(
-        cfg,
-        assignments,
-        opts.tpms,
-        plan,
-        robustness,
-        opts.coalescing,
-        ws,
-        sink,
-    )
-}
-
-/// Per-request retry bookkeeping (only allocated when a
-/// [`RobustnessConfig`] is active).
-#[derive(Clone, Copy)]
-struct ReqState {
-    /// Attempts issued so far (1 = the initial issue).
-    attempt: u32,
-    /// Completed or abandoned — later timeouts and retries are stale.
-    done: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_system_inner(
-    cfg: &SystemConfig,
-    assignments: &[Assignment],
-    tpms: TpmAssignment<'_>,
-    plan: &FaultPlan,
-    robustness: Option<RobustnessConfig>,
-    coalescing: bool,
-    ws: &mut SimWorkspace,
-    sink: &mut dyn TraceSink,
-) -> SystemReport {
     cfg.validate_fleet();
     if let Err(e) = plan.validate() {
         panic!("invalid fault plan: {e}");
     }
-    // Per-worker scratch: reset at the START of every run (defensive
-    // purity — even a panic-dirtied workspace cannot leak state into
-    // this run), then destructured so each piece borrows independently.
-    let scratch = ws.slot::<SystemScratch>();
-    scratch.reset();
-    let SystemScratch {
-        queue: q,
-        net_step,
-        io_step,
-        ssd_scheds,
-        ssd_pool,
-        notified,
-        tpm_caches,
-    } = scratch;
+    // The event queue and the reused step buffers that drive the hot
+    // loop: each event triggers at most one network step (`net_step`);
+    // sends issued while folding storage completions go through
+    // `io_step`; `ssd_scheds` keeps its LIFO processing order while
+    // `ssd_pool` recycles the drained step buffers, so the steady state
+    // allocates nothing per event.
+    let mut q: EventQueue<Ev> = EventQueue::new();
+    let mut net_step = NetStep::default();
+    let mut io_step = NetStep::default();
+    let mut ssd_scheds: Vec<(usize, ssd_sim::SsdStep)> = Vec::new();
+    let mut ssd_pool: Vec<ssd_sim::SsdStep> = Vec::new();
+    let mut notified: Vec<usize> = Vec::new();
     let tracing = sink.enabled();
     let n_bg = cfg.background.as_ref().map_or(0, |b| b.n_sources);
     let n_hosts = cfg.n_initiators + cfg.n_targets + n_bg;
@@ -403,7 +313,7 @@ fn run_system_inner(
     let bg_hosts: Vec<NodeId> = clos.hosts[cfg.n_initiators + cfg.n_targets..n_hosts].to_vec();
 
     let mut net = Network::new(clos.topology, cfg.dcqcn.clone(), cfg.pfc.clone(), cfg.mtu);
-    net.set_coalescing(coalescing);
+    net.set_coalescing(opts.coalescing);
     if cfg.cc == CcChoice::Timely {
         net.use_timely(net_sim::TimelyParams::default());
     }
@@ -423,14 +333,11 @@ fn run_system_inner(
         let src = match cfg.mode {
             Mode::DcqcnOnly => None,
             Mode::DcqcnSrc => {
-                let tpm = tpms
+                let tpm = opts
+                    .tpms
                     .for_target(t_idx)
                     .expect("DcqcnSrc mode requires a trained TPM");
-                Some(SrcController::with_cache(
-                    tpm,
-                    cfg.src.clone(),
-                    tpm_caches.pop().unwrap_or_default(),
-                ))
+                Some(SrcController::new(tpm, cfg.src.clone()))
             }
         };
         let mut in_flows = Vec::with_capacity(cfg.n_initiators);
@@ -560,13 +467,7 @@ fn run_system_inner(
     let tgt_host_index: FastMap<NodeId, usize> =
         tgt_hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
 
-    // The workspace's scratch buffers drive the hot loop: each event
-    // triggers at most one network step (`net_step`); sends issued
-    // while folding storage completions go through `io_step`;
-    // `ssd_scheds` keeps its LIFO processing order while `ssd_pool`
-    // recycles the drained step buffers, so the steady state allocates
-    // nothing per event — and across reused runs, not even at startup.
-    while let Some((now, ev)) = issues.pop(&mut *q, Ev::Issue) {
+    while let Some((now, ev)) = issues.pop(&mut q, Ev::Issue) {
         if finished + abandoned >= total {
             break;
         }
@@ -599,7 +500,7 @@ fn run_system_inner(
                 actual_target[a.request.id as usize] = target;
                 let ws =
                     initiators[a.initiator].issue(&a.request, out_flows[a.initiator][target], now);
-                net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *net_step);
+                net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut net_step);
                 if let Some(rb) = robustness {
                     let req = a.request.id as usize;
                     req_state[req].attempt = 1;
@@ -607,7 +508,7 @@ fn run_system_inner(
                 }
             }
             Ev::Net(nev) => {
-                net.handle_into(nev, now, &mut *net_step);
+                net.handle_into(nev, now, &mut net_step);
             }
             Ev::Ssd { target, ev } => {
                 let mut step = ssd_pool.pop().unwrap_or_default();
@@ -629,7 +530,7 @@ fn run_system_inner(
                             bg.bytes_per_burst,
                             u64::MAX - src as u64, // tag unused for background
                             now,
-                            &mut *net_step,
+                            &mut net_step,
                         );
                     }
                     let next = now + bg.burst_interval;
@@ -654,7 +555,7 @@ fn run_system_inner(
                                 bandwidth_factor,
                                 extra_delay,
                                 now,
-                                &mut *net_step,
+                                &mut net_step,
                             );
                         } else {
                             net.clear_link_degrade(index);
@@ -662,7 +563,7 @@ fn run_system_inner(
                     }
                     (FaultKind::PacketLoss { probability }, FaultScope::Link { index }) => {
                         if activate {
-                            net.set_link_loss(index, probability, now, &mut *net_step);
+                            net.set_link_loss(index, probability, now, &mut net_step);
                         } else {
                             net.clear_link_loss(index);
                         }
@@ -727,7 +628,7 @@ fn run_system_inner(
                             out_flows[a.initiator][target],
                             now,
                         );
-                        net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *net_step);
+                        net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut net_step);
                         q.schedule(
                             now + rb.timeout,
                             Ev::Timeout {
@@ -743,7 +644,7 @@ fn run_system_inner(
         // Process network outputs (may cascade into storage submissions,
         // which in turn produce more sends).
         {
-            let step = &*net_step;
+            let step = &net_step;
             for &(t, e) in &step.schedule {
                 q.schedule(t, Ev::Net(e));
             }
@@ -765,7 +666,7 @@ fn run_system_inner(
                     }
                 }
             }
-            for &t_idx in &**notified {
+            for &t_idx in &notified {
                 let demanded_bps: u64 = targets[t_idx]
                     .in_flows
                     .iter()
@@ -832,7 +733,7 @@ fn run_system_inner(
                                 // instead of resubmitting.
                                 let ws = t.proto.on_storage_completion(sub.request.id, now);
                                 io_step.clear();
-                                net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *io_step);
+                                net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut io_step);
                                 for &(tt, e) in &io_step.schedule {
                                     q.schedule(tt, Ev::Net(e));
                                 }
@@ -895,7 +796,7 @@ fn run_system_inner(
                 let ws = targets[t_idx].proto.on_storage_completion(c.id, now);
                 if !lost {
                     io_step.clear();
-                    net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *io_step);
+                    net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut io_step);
                     for &(t, e) in &io_step.schedule {
                         q.schedule(t, Ev::Net(e));
                     }
@@ -952,7 +853,7 @@ fn run_system_inner(
                         let ws = t.proto.on_storage_completion(c.id, now);
                         if !lost {
                             io_step.clear();
-                            net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut *io_step);
+                            net.send_into(ws.flow, ws.bytes, ws.tag, now, &mut io_step);
                             for &(tt, e) in &io_step.schedule {
                                 q.schedule(tt, Ev::Net(e));
                             }
@@ -1079,13 +980,6 @@ fn run_system_inner(
                     sink.count(("net", link as u64, "bursts_coalesced"), n);
                 }
             }
-        }
-    }
-    // Hand each controller's prediction-cache storage back to the
-    // workspace so the next run through it reuses the allocation.
-    for t in targets {
-        if let Some(src) = t.src {
-            tpm_caches.push(src.into_cache());
         }
     }
     report

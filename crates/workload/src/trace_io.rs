@@ -43,6 +43,28 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Largest accepted trace timestamp in µs: half of [`SimTime`]'s 2^64 ps
+/// range (≈ 106.8 days), so `arrival + latency` keeps as much headroom
+/// again before the picosecond clock could overflow.
+const MAX_TIMESTAMP_US: f64 = (1u64 << 63) as f64 / 1e6;
+
+/// The one timestamp check both readers share: `ts` (µs) must be
+/// finite, nonnegative and at most [`MAX_TIMESTAMP_US`]; `field` prefixes
+/// the error message.
+fn arrival_time(ts: f64, line: usize, field: &str) -> Result<SimTime, ParseError> {
+    if (0.0..=MAX_TIMESTAMP_US).contains(&ts) {
+        Ok(SimTime::ZERO + SimDuration::from_us_f64(ts))
+    } else {
+        Err(ParseError {
+            line,
+            message: format!(
+                "{field}timestamp must be finite, nonnegative and at most \
+                 {MAX_TIMESTAMP_US} µs, got {ts}"
+            ),
+        })
+    }
+}
+
 fn parse_op(tok: &str) -> Option<IoType> {
     match tok.trim().to_ascii_lowercase().as_str() {
         "r" | "read" | "0" => Some(IoType::Read),
@@ -52,8 +74,9 @@ fn parse_op(tok: &str) -> Option<IoType> {
 }
 
 /// Read a CSV trace. Lines starting with `#` and blank lines are
-/// skipped. Request ids are assigned in file order; the trace is sorted
-/// by arrival.
+/// skipped. Timestamps must be finite, from 0 to 2^63 ps ≈ 9.22e12 µs
+/// (≈ 106.8 days). Request ids are assigned in file order; the trace is
+/// sorted by arrival.
 pub fn read_csv<R: BufRead>(reader: R) -> Result<Trace, ParseError> {
     let mut requests = Vec::new();
     for (i, line) in reader.lines().enumerate() {
@@ -99,12 +122,7 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<Trace, ParseError> {
                 message: "size must be positive".into(),
             });
         }
-        if ts < 0.0 {
-            return Err(ParseError {
-                line: lineno,
-                message: "timestamp must be nonnegative".into(),
-            });
-        }
+        let arrival = arrival_time(ts, lineno, "")?;
         if let Some(extra) = parts.next() {
             return Err(ParseError {
                 line: lineno,
@@ -119,7 +137,7 @@ pub fn read_csv<R: BufRead>(reader: R) -> Result<Trace, ParseError> {
             op,
             lba,
             size,
-            arrival: SimTime::ZERO + SimDuration::from_us_f64(ts),
+            arrival,
         });
     }
     Ok(Trace::from_requests(requests))
@@ -190,9 +208,9 @@ fn fio_u64(v: &Value, lineno: usize, name: &str) -> Result<u64, ParseError> {
 /// blank lines and `#` comments skipped. Recognized fields (all
 /// required):
 ///
-/// * `ts_us` — arrival timestamp in microseconds (nonnegative number,
-///   non-decreasing across records unless
-///   [`FioReadOptions::sort_by_arrival`] is set);
+/// * `ts_us` — arrival timestamp in microseconds (a finite number from
+///   0 to 2^63 ps ≈ 9.22e12 µs ≈ 106.8 days; non-decreasing across
+///   records unless [`FioReadOptions::sort_by_arrival`] is set);
 /// * `op` — `"R"`/`"W"`/`"read"`/`"write"` (case-insensitive) or the
 ///   blktrace numeric convention `0` (read) / `1` (write);
 /// * `offset` — byte offset on the device (converted to 4 KiB-sector
@@ -229,14 +247,7 @@ pub fn read_fio_jsonl<R: BufRead>(
             });
         }
         let ts = fio_f64(&record, lineno, "ts_us")?;
-        if !ts.is_finite() || ts < 0.0 {
-            return Err(ParseError {
-                line: lineno,
-                message: format!(
-                    "field `ts_us`: timestamp must be finite and nonnegative, got {ts}"
-                ),
-            });
-        }
+        let arrival = arrival_time(ts, lineno, "field `ts_us`: ")?;
         if ts < last_ts {
             if options.sort_by_arrival {
                 out_of_order = true;
@@ -274,7 +285,7 @@ pub fn read_fio_jsonl<R: BufRead>(
             op,
             lba: offset / SECTOR_BYTES,
             size: len,
-            arrival: SimTime::ZERO + SimDuration::from_us_f64(ts),
+            arrival,
         });
     }
     let trace = Trace::from_requests(requests);
@@ -361,15 +372,27 @@ mod tests {
             ("1.0,R,1,0", "positive"),
             ("-1.0,R,1,4096", "nonnegative"),
             ("1.0,R", "missing"),
+            // Non-finite timestamps, and one just past the 2^63 ps limit
+            // (≈ 9.22e12 µs): accepted, each would become t = 0 or a
+            // saturated clock that wraps once latency is added.
+            ("NaN,R,1,4096", "finite"),
+            ("inf,R,1,4096", "finite"),
+            ("9.3e12,R,1,4096", "at most"),
         ] {
             let err = read_csv(Cursor::new(bad)).unwrap_err();
             assert_eq!(err.line, 1, "case {bad}");
             let msg = err.to_string();
             assert!(
-                msg.to_lowercase().contains(&what.to_lowercase()) || !msg.is_empty(),
+                msg.to_lowercase().contains(&what.to_lowercase()),
                 "case {bad}: {msg}"
             );
         }
+        // Just inside the limit still parses, to the exact picosecond.
+        let t = read_csv(Cursor::new("9.2e12,R,1,4096")).unwrap();
+        assert_eq!(
+            t.requests()[0].arrival,
+            SimTime::from_ps(9_200_000_000_000_000_000)
+        );
     }
 
     #[test]
@@ -506,6 +529,18 @@ mod tests {
                 1,
                 "`ts_us`",
             ),
+            // JSON has no NaN literal; 1e400 parses to infinity, and
+            // 9.3e12 µs is just past the 2^63 ps limit.
+            (
+                r#"{"ts_us": 1e400, "op": "R", "offset": 0, "len": 512}"#,
+                1,
+                "`ts_us`",
+            ),
+            (
+                r#"{"ts_us": 9.3e12, "op": "R", "offset": 0, "len": 512}"#,
+                1,
+                "`ts_us`",
+            ),
             (
                 "{\"ts_us\":1,\"op\":\"R\",\"offset\":0,\"len\":512}\n[1,2]",
                 2,
@@ -521,6 +556,29 @@ mod tests {
                 "case {data}: error should mention {needle}, got: {err}"
             );
         }
+    }
+
+    #[test]
+    fn fio_accepts_timestamps_just_inside_the_limit() {
+        let data = r#"{"ts_us": 9.2e12, "op": "R", "offset": 0, "len": 512}"#;
+        let t = read_fio_jsonl(Cursor::new(data), &FioReadOptions::default()).unwrap();
+        assert_eq!(
+            t.requests()[0].arrival,
+            SimTime::from_ps(9_200_000_000_000_000_000)
+        );
+    }
+
+    #[test]
+    fn fio_rejects_deeply_nested_record_naming_the_line() {
+        // One `[` per parser recursion: without a depth limit, 100,000
+        // overflow the stack and abort the process.
+        let data = format!(
+            "{{\"ts_us\": 1, \"op\": \"R\", \"offset\": 0, \"len\": 512}}\n{}",
+            "[".repeat(100_000)
+        );
+        let err = read_fio_jsonl(Cursor::new(data), &FioReadOptions::default()).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 
     #[test]

@@ -1,146 +1,21 @@
 //! The workspace-reuse purity contract (see
 //! `sim-engine/src/workspace.rs`): handing the SAME per-worker
-//! [`SimWorkspace`] to many runs back-to-back — different configs,
-//! modes, seeds, thread counts, even through the checkpoint-resume
-//! path — must produce results byte-identical to building fresh state
-//! for every run. The scratch reset at the start of each run is what
-//! makes reports pure functions of `(config, options, seed)` again.
+//! [`SimWorkspace`] to many storage-node runs back-to-back — different
+//! weights and traces — must produce results byte-identical to building
+//! fresh state for every run. The scratch reset at the start of each run
+//! is what makes reports pure functions of `(config, trace)` again.
 
-use srcsim::ml::Dataset;
-use srcsim::sim_engine::runner::with_threads;
-use srcsim::sim_engine::{CheckpointSpec, NullSink, ScenarioRunner, SimWorkspace};
-use srcsim::src_core::ThroughputPredictionModel;
+use srcsim::sim_engine::SimWorkspace;
 use srcsim::storage_node::{
     run_trace_windowed, run_trace_windowed_in, DisciplineKind, NodeConfig, NodeReport,
 };
-use srcsim::system_sim::config::Mode;
-use srcsim::system_sim::{run_system, run_system_in, RunOptions, SystemConfig, SystemReport};
 use srcsim::workload::micro::{generate_micro, MicroConfig};
-use srcsim::workload::source::WorkloadSpec;
-use srcsim::workload::{Trace, WorkloadFeatures};
-use std::sync::Arc;
-
-/// A tiny synthetic TPM (read tput ~ 10/w Gbps), cheap enough for
-/// debug builds — the cache/controller machinery it exercises is the
-/// same as a fully trained model's.
-fn tiny_tpm() -> Arc<ThroughputPredictionModel> {
-    let ch = WorkloadFeatures {
-        read_ratio: 0.5,
-        read_iat_mean_us: 10.0,
-        write_iat_mean_us: 10.0,
-        read_size_mean: 30_000.0,
-        write_size_mean: 30_000.0,
-        read_flow_bpus: 3_000.0,
-        write_flow_bpus: 3_000.0,
-        ..Default::default()
-    };
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    for _rep in 0..8 {
-        for w in 1..=12u32 {
-            let mut row = ch.to_vec();
-            row.push(w as f64);
-            x.push(row);
-            y.push(vec![10.0 / w as f64, 2.0 + w as f64]);
-        }
-    }
-    Arc::new(ThroughputPredictionModel::train(&Dataset::new(x, y), 40, 0))
-}
-
-/// Small but non-trivial full-system cells: both modes, several seeds.
-fn system_cells() -> Vec<(SystemConfig, u64)> {
-    let mut cells = Vec::new();
-    for (mode, seed) in [
-        (Mode::DcqcnOnly, 11u64),
-        (Mode::DcqcnSrc, 12),
-        (Mode::DcqcnSrc, 13),
-        (Mode::DcqcnOnly, 14),
-    ] {
-        let cfg = SystemConfig {
-            mode,
-            n_initiators: 2,
-            n_targets: 2,
-            workloads: vec![WorkloadSpec::Micro(MicroConfig {
-                read_count: 120,
-                write_count: 120,
-                ..MicroConfig::default()
-            })],
-            ..SystemConfig::default()
-        };
-        cells.push((cfg, seed));
-    }
-    cells
-}
-
-fn report_json(r: &SystemReport) -> String {
-    serde_json::to_string(r).expect("report serializes")
-}
+use srcsim::workload::Trace;
 
 /// Lossless comparable form of a [`NodeReport`]: Rust's `f64` Debug
 /// formatting is shortest-round-trip, so equal strings mean equal bits.
 fn node_digest(r: &NodeReport) -> String {
     format!("{r:?}")
-}
-
-/// Many full-system cells through one reused workspace, serially, with
-/// an SRC cell (prediction cache, controller) between DCQCN-only
-/// cells — every report byte-identical to a fresh-state run, including
-/// an immediate re-run of the first cell after the workspace was
-/// dirtied by every other cell shape.
-#[test]
-fn system_runs_reuse_workspace_byte_identical() {
-    let tpm = tiny_tpm();
-    let cells = system_cells();
-    let opts = |cfg: &SystemConfig, seed: u64| {
-        let o = RunOptions::seeded(seed);
-        match cfg.mode {
-            Mode::DcqcnOnly => o,
-            Mode::DcqcnSrc => o.tpm(tpm.clone()),
-        }
-    };
-    let fresh: Vec<String> = cells
-        .iter()
-        .map(|(cfg, seed)| report_json(&run_system(cfg, opts(cfg, *seed), &mut NullSink)))
-        .collect();
-    let mut ws = SimWorkspace::new();
-    for round in 0..2 {
-        for ((cfg, seed), want) in cells.iter().zip(&fresh) {
-            let got = report_json(&run_system_in(
-                cfg,
-                opts(cfg, *seed),
-                &mut ws,
-                &mut NullSink,
-            ));
-            assert_eq!(&got, want, "round {round} seed {seed} diverged");
-        }
-    }
-}
-
-/// The parallel sweep form: `run_cells_with_workspace` at 1 and 4
-/// threads matches the fresh-per-cell serial reference.
-#[test]
-fn system_sweep_with_workspace_matches_at_any_thread_count() {
-    let tpm = tiny_tpm();
-    let cells = system_cells();
-    let run_cell = |ws: &mut SimWorkspace, (cfg, seed): &(SystemConfig, u64)| {
-        let o = RunOptions::seeded(*seed);
-        let o = match cfg.mode {
-            Mode::DcqcnOnly => o,
-            Mode::DcqcnSrc => o.tpm(tpm.clone()),
-        };
-        report_json(&run_system_in(cfg, o, ws, &mut NullSink))
-    };
-    let reference: Vec<String> = cells
-        .iter()
-        .map(|cell| run_cell(&mut SimWorkspace::new(), cell))
-        .collect();
-    for threads in [1usize, 4] {
-        let got = with_threads(threads, || {
-            ScenarioRunner::from_env()
-                .run_cells_with_workspace(&cells, |ws, _, cell| run_cell(ws, cell))
-        });
-        assert_eq!(got, reference, "threads={threads}");
-    }
 }
 
 fn node_trace(seed: u64, n: usize) -> Trace {
@@ -186,52 +61,4 @@ fn trace_runner_reuse_byte_identical() {
             assert_eq!(&got, want, "round {round} weight {w} diverged");
         }
     }
-}
-
-/// Checkpoint-resume with per-worker workspaces: a resumed sweep whose
-/// live cells run through reused workspaces returns results
-/// byte-identical to the plain (fresh-state, no-checkpoint) sweep.
-#[test]
-fn checkpoint_resume_with_workspace_byte_identical() {
-    let traces: Vec<Trace> = (0..6).map(|i| node_trace(40 + i, 120)).collect();
-    let cfg = NodeConfig::default();
-    let run_fresh = |t: &Trace| node_digest(&run_trace_windowed(&cfg, t));
-    let reference: Vec<String> = traces.iter().map(run_fresh).collect();
-
-    let path = std::env::temp_dir().join(format!(
-        "srcsim-ws-resume-{}.ckpt.jsonl",
-        std::process::id()
-    ));
-    for threads in [1usize, 4] {
-        let _ = std::fs::remove_file(&path);
-        let spec = CheckpointSpec::new(&path, "workspace-reuse resume v1");
-        // Interrupted first pass: cells past index 2 panic, so some
-        // subset of the grid commits before the panic reaches us.
-        let interrupted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_threads(threads, || {
-                ScenarioRunner::from_env().run_cells_resumable_with(
-                    Some(&spec),
-                    7,
-                    &traces,
-                    |ws, i, t| {
-                        assert!(i < 3, "simulated interrupt at cell {i}");
-                        node_digest(&run_trace_windowed_in(&cfg, t, ws))
-                    },
-                )
-            })
-        }));
-        assert!(interrupted.is_err(), "first pass must be interrupted");
-        // Resume: cached prefix replays from the manifest, the rest is
-        // recomputed through reused per-worker workspaces.
-        let resumed: Vec<String> = with_threads(threads, || {
-            ScenarioRunner::from_env().run_cells_resumable_with(
-                Some(&spec),
-                7,
-                &traces,
-                |ws, _, t| node_digest(&run_trace_windowed_in(&cfg, t, ws)),
-            )
-        });
-        assert_eq!(resumed, reference, "threads={threads} resumed");
-    }
-    let _ = std::fs::remove_file(&path);
 }
