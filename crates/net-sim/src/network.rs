@@ -195,6 +195,9 @@ struct HostNic {
     uplink: usize,
     flows: Vec<usize>,
     rr: usize,
+    /// Sum of `queued_bytes` over `flows`, kept in step with every
+    /// enqueue and dequeue so the TXQ check reads it in O(1).
+    backlog_bytes: u64,
     /// Control (CNP) queue: unshaped, never paused.
     ctrl: VecDeque<Packet>,
     pause_frames_received: u64,
@@ -285,7 +288,7 @@ pub struct Network {
     /// deferred packet (telemetry).
     bursts_coalesced: Vec<u64>,
     /// Total packets delivered through the deferred path (each one is
-    /// an `Arrive` event the wheel never saw).
+    /// an `Arrive` event the queue never saw).
     packets_coalesced: u64,
     /// How far past a deferred arrival the backstop flush is armed.
     /// [`FLUSH_HORIZON`] normally; zero while telemetry is enabled so
@@ -317,6 +320,7 @@ impl Network {
                     uplink: ups[0],
                     flows: Vec::new(),
                     rr: 0,
+                    backlog_bytes: 0,
                     ctrl: VecDeque::new(),
                     pause_frames_received: 0,
                     wakeup_pending: false,
@@ -583,6 +587,7 @@ impl Network {
             f.queued_bytes += sz;
         }
         let host = f.src;
+        self.nics[host.0].as_mut().expect("host NIC").backlog_bytes += bytes;
         self.kick_nic(host, now, step);
     }
 
@@ -617,8 +622,7 @@ impl Network {
     pub fn host_backlog_bytes(&self, host: NodeId) -> u64 {
         self.nics[host.0]
             .as_ref()
-            .map(|nic| nic.flows.iter().map(|&f| self.flows[f].queued_bytes).sum())
-            .unwrap_or(0)
+            .map_or(0, |nic| nic.backlog_bytes)
     }
 
     /// Current DCQCN sending rate of a flow.
@@ -662,7 +666,7 @@ impl Network {
     }
 
     /// Total packets delivered through the deferred-arrival path — each
-    /// is an `Arrive` event the wheel never carried.
+    /// is an `Arrive` event the queue never carried.
     pub fn packets_coalesced(&self) -> u64 {
         self.packets_coalesced
     }
@@ -686,13 +690,13 @@ impl Network {
 
     /// Try to start transmissions on a host's uplink.
     fn kick_nic(&mut self, host: NodeId, now: SimTime, step: &mut NetStep) {
-        let nic = self.nics[host.0].as_ref().expect("kick_nic on a switch");
+        let nic = self.nics[host.0].as_mut().expect("kick_nic on a switch");
         let link = nic.uplink;
         if self.ports[link].busy {
             return;
         }
         // Control packets first: unshaped, not subject to PFC pause.
-        if let Some(pkt) = self.nics[host.0].as_mut().unwrap().ctrl.pop_front() {
+        if let Some(pkt) = nic.ctrl.pop_front() {
             self.start_tx(link, pkt, None, now, step);
             return;
         }
@@ -700,30 +704,22 @@ impl Network {
             return;
         }
         // Round-robin over flows with backlog and tokens.
-        let nic = self.nics[host.0].as_ref().unwrap();
-        let flows = nic.flows.clone();
-        let start = nic.rr;
+        let (flows, start) = (&nic.flows, nic.rr);
+        let n = flows.len();
         let mut earliest: Option<SimTime> = None;
-        for k in 0..flows.len() {
-            let fid = flows[(start + k) % flows.len()];
-            let (has_pkt, size) = {
-                let f = &self.flows[fid];
-                (
-                    f.queue.front().is_some(),
-                    f.queue.front().map_or(0, |p| p.size),
-                )
-            };
-            if !has_pkt {
+        for k in 0..n {
+            let f = &mut self.flows[flows[(start + k) % n]];
+            let Some(size) = f.queue.front().map(|p| p.size) else {
                 continue;
-            }
-            let admit = self.flows[fid].bucket.try_consume(now, size);
-            match admit {
+            };
+            match f.bucket.try_consume(now, size) {
                 Ok(()) => {
-                    let f = &mut self.flows[fid];
                     let mut pkt = f.queue.pop_front().expect("checked nonempty");
                     f.queued_bytes -= pkt.size;
                     pkt.sent_at = now;
-                    self.nics[host.0].as_mut().unwrap().rr = (start + k + 1) % flows.len();
+                    let nic = self.nics[host.0].as_mut().expect("host NIC");
+                    nic.rr = (start + k + 1) % n;
+                    nic.backlog_bytes -= pkt.size;
                     self.start_tx(link, pkt, None, now, step);
                     return;
                 }
@@ -735,7 +731,7 @@ impl Network {
         }
         // Backlogged but token-starved: schedule a wakeup.
         if let Some(t) = earliest {
-            let nic = self.nics[host.0].as_mut().unwrap();
+            let nic = self.nics[host.0].as_mut().expect("host NIC");
             if !nic.wakeup_pending {
                 nic.wakeup_pending = true;
                 step.schedule
@@ -1209,5 +1205,94 @@ impl Network {
         }
         let src = f.src;
         self.kick_nic(src, now, step);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::build_star;
+    use sim_engine::EventQueue;
+
+    /// Handle the queue's next event and schedule what it produces;
+    /// returns its time, `None` once the queue is empty.
+    fn handle_next(
+        net: &mut Network,
+        q: &mut EventQueue<NetEvent>,
+        step: &mut NetStep,
+    ) -> Option<SimTime> {
+        let (now, ev) = q.pop()?;
+        step.clear();
+        net.handle_into(ev, now, step);
+        for &(t, e) in &step.schedule {
+            q.schedule(t, e);
+        }
+        Some(now)
+    }
+
+    /// Every host's running backlog equals the sum of its flows'.
+    fn backlog_matches(net: &Network) -> proptest::TestCaseResult {
+        for (host, nic) in net.nics.iter().enumerate() {
+            let sum: u64 = nic
+                .iter()
+                .flat_map(|n| &n.flows)
+                .map(|&f| net.flow_backlog_bytes(FlowId(f)))
+                .sum();
+            proptest::prop_assert_eq!(net.host_backlog_bytes(NodeId(host)), sum);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The running per-NIC backlog equals the sum of
+        /// `flow_backlog_bytes` over the host's flows after every send
+        /// and every handled event, with DCQCN and fixed-rate flows
+        /// sharing source hosts.
+        #[test]
+        fn prop_host_backlog_is_sum_of_flow_backlogs(
+            ops in proptest::collection::vec((0u8..3, 0usize..6, 1u64..100_000), 1..80),
+        ) {
+            let clos = build_star(4, Rate::from_gbps(40), SimDuration::from_us(1));
+            let h = clos.hosts;
+            let (dcqcn, pfc) = (DcqcnParams::default(), PfcParams::default());
+            let mut net = Network::new(clos.topology, dcqcn, pfc, 4096);
+            let flows = [
+                net.add_flow(h[0], h[3]),
+                net.add_fixed_rate_flow(h[0], h[3], Rate::from_gbps(10)),
+                net.add_flow(h[0], h[2]),
+                net.add_fixed_rate_flow(h[1], h[3], Rate::from_gbps(25)),
+                net.add_flow(h[1], h[3]),
+                net.add_flow(h[3], h[0]),
+            ];
+            let mut q = EventQueue::new();
+            let mut step = NetStep::default();
+            let mut now = SimTime::ZERO;
+            for &(kind, f, n) in &ops {
+                if kind == 0 {
+                    step.clear();
+                    net.send_into(flows[f], n, 0, now, &mut step);
+                    for &(t, e) in &step.schedule {
+                        q.schedule(t, e);
+                    }
+                } else {
+                    // Handle up to `n % 64` events.
+                    for _ in 0..n % 64 {
+                        let Some(t) = handle_next(&mut net, &mut q, &mut step) else {
+                            break;
+                        };
+                        now = t;
+                        backlog_matches(&net)?;
+                    }
+                }
+                backlog_matches(&net)?;
+            }
+            while handle_next(&mut net, &mut q, &mut step).is_some() {
+                backlog_matches(&net)?;
+            }
+            proptest::prop_assert!(net.is_quiescent());
+            for &host in &h {
+                proptest::prop_assert_eq!(net.host_backlog_bytes(host), 0);
+            }
+        }
     }
 }

@@ -54,7 +54,7 @@ impl<A, I: Iterator<Item = (SimTime, A)>> ArrivalCursor<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::HeapEventQueue;
+    use crate::queue::{HeapEventQueue, BUCKETS, BUCKET_BITS};
     use crate::time::SimDuration;
 
     #[derive(Debug, PartialEq)]
@@ -112,12 +112,8 @@ mod tests {
         out
     }
 
-    fn streamed(
-        arrivals: &[(SimTime, u32)],
-        follow: Follow,
-        threshold: usize,
-    ) -> Vec<(SimTime, Ev)> {
-        let mut q = EventQueue::with_threshold(threshold);
+    fn streamed(arrivals: &[(SimTime, u32)], follow: Follow) -> Vec<(SimTime, Ev)> {
+        let mut q = EventQueue::new();
         let mut cursor = ArrivalCursor::new(arrivals.iter().copied());
         let mut out = Vec::new();
         let mut next_id = 0;
@@ -131,38 +127,51 @@ mod tests {
         out
     }
 
+    /// A gap or delay in picoseconds whose shape `kind` picks: ties,
+    /// sub-bucket steps, whole buckets, or about one calendar window.
+    fn span(kind: u8, raw: u64) -> u64 {
+        match kind {
+            0 | 1 => raw % 4,
+            2 => raw << (BUCKET_BITS - 4),
+            3 => (raw % 4) << BUCKET_BITS,
+            _ => ((BUCKETS as u64) << BUCKET_BITS) - 2 + raw % 4,
+        }
+    }
+
     proptest::proptest! {
         /// Streaming reproduces the pre-scheduled pop order exactly, with
         /// follow-up delays chosen to tie with later arrivals and with
-        /// each other, and with queue thresholds that move the queue onto
-        /// its timing wheel mid-run.
+        /// each other, and with arrival gaps and delays that straddle
+        /// bucket boundaries and cross the calendar window (through the
+        /// overflow while a later arrival is still due first).
         #[test]
         fn prop_streamed_matches_prescheduled(
-            gaps in proptest::collection::vec(0u64..4, 1..60),
-            delays in proptest::collection::vec(0u64..6, 1..8),
-            threshold in 1usize..24,
+            gaps in proptest::collection::vec((0u8..5, 0u64..64), 1..60),
+            delays in proptest::collection::vec((0u8..5, 0u64..64), 1..8),
         ) {
             let mut t = 0;
             let arrivals: Vec<(SimTime, u32)> = gaps
                 .iter()
                 .enumerate()
-                .map(|(i, g)| {
-                    t += g;
+                .map(|(i, &(kind, raw))| {
+                    t += span(kind, raw);
                     (SimTime::from_ps(t), i as u32)
                 })
                 .collect();
+            let delay = |i: usize| {
+                let (kind, raw) = delays[i % delays.len()];
+                span(kind, raw)
+            };
             let follow = |ev: &Ev| -> Vec<u64> {
                 match ev {
-                    Ev::Arrival(a) => vec![delays[*a as usize % delays.len()]],
-                    Ev::Other(id) if *id < 200 => {
-                        vec![delays[*id as usize % delays.len()]; (*id % 3) as usize]
-                    }
+                    Ev::Arrival(a) => vec![delay(*a as usize)],
+                    Ev::Other(id) if *id < 200 => vec![delay(*id as usize); (*id % 3) as usize],
                     Ev::Other(_) => Vec::new(),
                 }
             };
             proptest::prop_assert_eq!(
                 prescheduled(&arrivals, &follow),
-                streamed(&arrivals, &follow, threshold)
+                streamed(&arrivals, &follow)
             );
         }
     }

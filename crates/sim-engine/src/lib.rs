@@ -7,9 +7,9 @@
 //!   40 Gbps one byte serializes in exactly 200 ps, so integer time keeps
 //!   every simulation bit-reproducible across platforms.
 //! * [`EventQueue`] — a time-ordered event queue with a monotone sequence
-//!   tie-breaker, so same-timestamp events are delivered in FIFO order;
-//!   a binary heap while few events are pending, a timing wheel once
-//!   many are.
+//!   tie-breaker, so same-timestamp events are delivered in FIFO order:
+//!   a calendar queue of 262 ns buckets with a binary-heap overflow for
+//!   events beyond its 537 µs window.
 //! * [`stats`] — streaming and batch statistics (mean, variance, squared
 //!   coefficient of variation, skewness, autocorrelation, percentiles)
 //!   used by the workload feature extractor and by metric collection.

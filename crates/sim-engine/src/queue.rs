@@ -1,56 +1,45 @@
 //! Time-ordered event queue with deterministic FIFO tie-breaking.
 //!
 //! [`EventQueue`] is the one queue every simulator in this workspace
-//! drains. It is one type with two private regimes that share one
-//! contract (nondecreasing pop times, FIFO among equal timestamps via a
-//! monotone sequence number, debug causality check):
+//! drains. Its contract: pop times are nondecreasing, events scheduled
+//! at the same timestamp pop in the order they were scheduled (a
+//! monotone sequence number breaks ties), and debug builds reject
+//! scheduling into the past.
 //!
-//! * a binary heap while few events are pending. Up to ~16k pending on
-//!   the bench host a cache-resident sift costs less than the wheel's
-//!   slot bookkeeping;
-//! * a hierarchical timing wheel with amortized O(1) schedule/pop, plus
-//!   a binary-heap calendar overflow for timers beyond the wheel
-//!   horizon. It wins from ~32k pending up (~1.2× over the heap at 64k,
-//!   ~7× at 1M).
+//! # Calendar design
 //!
-//! The queue starts on the heap and migrates **once** into the wheel
-//! when live pending reaches `WHEEL_THRESHOLD` (16 384), moving every entry
-//! with its already-assigned `(time, seq)` pair, so the pop sequence is
-//! identical to either structure run alone. The threshold is a
-//! compile-time constant: the regime a run uses is a pure function of
-//! its event sequence. Both regimes carry real runs: a storage-node run
-//! keeps about a dozen events pending (one per busy chip and channel)
-//! and a fault-free system run about a hundred, so both stay on the
-//! heap; a system run with a timeout policy keeps one timer per
-//! in-flight request, and every `ext_faults` full-scale cell peaks at
-//! 20k–40k pending. The test suite keeps the plain binary heap as an
-//! oracle and requires identical pop sequences from both regimes and
-//! from migrations at arbitrary points.
+//! The queue is a calendar queue (Brown, "Calendar queues", CACM 1988)
+//! with a fixed bucket width. Time is integer picoseconds
+//! ([`SimTime`]). A ring of `BUCKETS` = 2048 unsorted buckets, each
+//! `2^BUCKET_BITS` = 2^18 ps (≈ 262 ns) wide, covers a window of 2^29 ps
+//! (≈ 537 µs) that starts at the bucket of the last popped event. An
+//! event in the window is pushed onto its bucket; an occupancy bitmap
+//! (one bit per bucket) finds the first nonempty bucket with
+//! `trailing_zeros`, and `pop` takes that bucket's minimum
+//! `(time, seq)` by a linear scan. Events beyond the window wait in a
+//! `BinaryHeap` overflow and move into the ring, each once, when the
+//! window reaches them.
 //!
-//! # Wheel design
+//! The widths follow the offsets the simulators schedule at. The fabric
+//! schedules 0.82 µs ahead (a 4 KB packet serializing at 40 Gbps), 1 µs
+//! (link delay) and at µs-scale DCQCN timers, so a fault-free system
+//! run's 40–140 pending events spread over the ring a few to a bucket.
+//! The window covers the slowest device latency the models use, SSD-A's
+//! 300 µs program, so storage-node events stay in the ring: a window
+//! short of it sends a third of an SSD-A run's events through the
+//! overflow and makes the run slower than on a binary heap. Beyond the
+//! window lies the one timeout per in-flight request that a timeout
+//! policy arms: every `ext_faults` full-scale cell peaks at 20k–40k
+//! pending 5 s timeouts. Those arrive in nearly increasing time order,
+//! so an overflow push rarely sifts, and most runs end before the
+//! window reaches them.
 //!
-//! Time is integer picoseconds ([`SimTime`]). The wheel has
-//! `LEVELS` = 7 levels of 64 slots; level `l` slots are `64^l` ps
-//! wide, so one full rotation covers `64^7 = 2^42` ps ≈ 4.4 s of
-//! simulated time relative to the current wheel position — far beyond
-//! any timer the simulators arm (DCQCN timers are µs-scale, SSD erases
-//! ms-scale). Events whose time differs from the wheel position above
-//! bit 42 go to the overflow heap and migrate into the wheel when the
-//! wheel catches up (each event migrates at most once).
-//!
-//! `schedule` picks the level from the highest differing 6-bit group
-//! between the event time and the wheel position (`elapsed`): one XOR,
-//! one `leading_zeros`, one push. `pop` finds the lowest nonempty
-//! level's lowest slot through per-level occupancy bitmaps
-//! (`trailing_zeros`); level-0 slots are one picosecond wide, so a
-//! drained slot is a batch of equal-time events sorted by sequence
-//! number — FIFO for free. Higher-level slots cascade: their events
-//! redistribute to lower levels as the wheel position advances, at most
-//! once per level per event, which gives the amortized O(1) bound.
-//!
-//! Slot vectors, the delivery batch, and the cascade scratch buffer are
-//! all reused across operations, so a warmed-up queue schedules and
-//! pops without allocating.
+//! A drained bucket's vector goes to a spare list and serves the next
+//! bucket that fills, so the buckets occupied at one time share their
+//! capacity rather than each of the 2048 growing to the largest burst
+//! it ever held, and a warmed-up queue schedules and pops without
+//! allocating. The test suite holds the queue against a plain binary
+//! heap (`HeapEventQueue`) on randomized interleavings.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -81,31 +70,20 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Bits per wheel level: 64 slots.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Mask selecting one level's slot index.
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-/// Wheel levels. Level `l` slots are `64^l` ps wide; the whole wheel
-/// spans `2^(6*7) = 2^42` ps (≈ 4.4 s) relative to its position.
-const LEVELS: usize = 7;
-/// Bits covered by the wheel; times differing from `elapsed` at or
-/// above this bit live in the overflow heap.
-const SPAN_BITS: u32 = SLOT_BITS * LEVELS as u32;
+/// log2 of a bucket's width in picoseconds: 2^18 ps ≈ 262 ns, about a
+/// third of a 4 KB packet's serialization time at 40 Gbps.
+pub(crate) const BUCKET_BITS: u32 = 18;
+/// Buckets in the ring (a power of two): the window spans
+/// `BUCKETS << BUCKET_BITS` = 2^29 ps ≈ 537 µs, past SSD-A's 300 µs
+/// program latency.
+pub(crate) const BUCKETS: usize = 2048;
+/// Words of the occupancy bitmap.
+const WORDS: usize = BUCKETS / 64;
 
-/// Live-pending count at which [`EventQueue`] migrates from the binary
-/// heap to the timing wheel: the top of the heap's measured regime (it
-/// wins up to ~16k pending, the wheel from ~32k up, and the crossover
-/// zone is within a few percent either way). Compile-time fixed — the
-/// migration point must be a pure function of the event sequence, never
-/// of wall-clock measurements.
-const WHEEL_THRESHOLD: usize = 16_384;
-
-// A wheel/heap entry for a word-sized payload is exactly 24 bytes
-// (time + seq + payload, no padding): three entries per cache line in
-// slot vectors and the delivery batch. Growth here taxes every
-// simulator's hot loop, so it fails the build instead of slipping in.
+// An entry for a word-sized payload is exactly 24 bytes (time + seq +
+// payload, no padding): three entries per cache line in a bucket.
+// Growth here taxes every simulator's hot loop, so it fails the build
+// instead of slipping in.
 const _: () = assert!(std::mem::size_of::<Entry<u64>>() == 24);
 const _: () = assert!(std::mem::size_of::<Entry<()>>() == 16);
 
@@ -115,19 +93,25 @@ const _: () = assert!(std::mem::size_of::<Entry<()>>() == 16);
 ///
 /// Determinism matters: the simulators seed all their RNGs and rely on
 /// this queue never reordering same-time events, so a run is a pure
-/// function of its configuration and seed. The heap→wheel migration
-/// (see the module docs) never changes the pop sequence.
+/// function of its configuration and seed.
 pub struct EventQueue<E> {
-    /// Small-regime store (pre-migration).
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Large-regime store, stored inline so post-migration operations
-    /// pay no pointer hop — its slot table is one ~10 KB allocation at
-    /// construction, retained across `reset` for workspace reuse.
-    wheel: Wheel<E>,
-    /// True once migrated: every operation delegates to the wheel.
-    on_wheel: bool,
-    threshold: usize,
+    /// `BUCKETS` unsorted buckets; bucket number `b` lives in slot
+    /// `b % BUCKETS`.
+    ring: Box<[Vec<Entry<E>>]>,
+    /// One bit per ring slot, set while the slot's bucket is nonempty.
+    occupied: [u64; WORDS],
+    /// Allocations of drained buckets, handed to the next bucket that
+    /// fills so the few buckets occupied at a time share their capacity.
+    spare: Vec<Vec<Entry<E>>>,
+    /// Events at bucket `base + BUCKETS` or later.
+    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    /// First bucket number of the window: the bucket of the last popped
+    /// event, never past the earliest pending one.
+    base: u64,
+    /// Pending events across ring and overflow.
+    len: usize,
     next_seq: u64,
+    /// Highest timestamp ever popped; used to catch causality violations.
     last_popped: SimTime,
 }
 
@@ -141,42 +125,15 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            wheel: Wheel::new(),
-            on_wheel: false,
-            threshold: WHEEL_THRESHOLD,
+            ring: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: [0; WORDS],
+            spare: Vec::new(),
+            overflow: BinaryHeap::new(),
+            base: 0,
+            len: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
-    }
-
-    /// An empty queue migrating at `threshold` pending events (minimum
-    /// 1), so tests can drive interleavings across the migration point.
-    #[cfg(test)]
-    pub(crate) fn with_threshold(threshold: usize) -> Self {
-        EventQueue {
-            threshold: threshold.max(1),
-            ..Self::new()
-        }
-    }
-
-    /// Move every heap entry into the wheel, preserving `(time, seq)`.
-    /// The wheel starts positioned at the last popped timestamp — every
-    /// pending entry is at or after it (causality contract), and any
-    /// release-mode violator is clamped exactly as `schedule` clamps.
-    #[cold]
-    fn migrate(&mut self) {
-        let wheel = &mut self.wheel;
-        wheel.reset();
-        wheel.elapsed = self.last_popped.0;
-        wheel.last_popped = self.last_popped;
-        wheel.next_seq = self.next_seq;
-        wheel.len = self.heap.len();
-        for Reverse(entry) in self.heap.drain() {
-            let t = entry.time.0.max(wheel.elapsed);
-            wheel.place_at(t, entry);
-        }
-        self.on_wheel = true;
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -185,149 +142,6 @@ impl<E> EventQueue<E> {
     /// In debug builds, panics if `at` is earlier than the most recently
     /// popped timestamp (scheduling into the past breaks causality).
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        if self.on_wheel {
-            return self.wheel.schedule(at, event);
-        }
-        debug_assert!(
-            at >= self.last_popped,
-            "scheduling into the past: {at:?} < {:?}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            event,
-        }));
-        if self.heap.len() >= self.threshold {
-            self.migrate();
-        }
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.on_wheel {
-            return self.wheel.pop();
-        }
-        let Reverse(e) = self.heap.pop()?;
-        self.last_popped = e.time;
-        Some((e.time, e.event))
-    }
-
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.on_wheel {
-            return self.wheel.peek_time();
-        }
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        if self.on_wheel {
-            return self.wheel.len;
-        }
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Restore the pristine `EventQueue::new()` state — empty, heap
-    /// regime, sequence counter and causality clock at zero — while
-    /// keeping the heap and wheel allocations. A reset queue is
-    /// observably indistinguishable from a freshly built one; workspace
-    /// reuse across simulation cells depends on exactly that.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.wheel.reset();
-        self.on_wheel = false;
-        self.next_seq = 0;
-        self.last_popped = SimTime::ZERO;
-    }
-}
-
-/// The hierarchical timing wheel behind [`EventQueue`]'s large regime
-/// (see the module docs). It keeps the same `(time, seq)` contract as
-/// the heap regime on its own, which the tests check directly.
-struct Wheel<E> {
-    /// `LEVELS * SLOTS` slot vectors, flattened (`level * 64 + slot`).
-    slots: Box<[Vec<Entry<E>>]>,
-    /// Per-level slot occupancy bitmaps.
-    occupied: [u64; LEVELS],
-    /// Far-future events (beyond the wheel span from `elapsed`).
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
-    /// The drained current-slot batch, sorted descending by
-    /// `(time, seq)` so `pop` takes from the back.
-    deliver: Vec<Entry<E>>,
-    /// Scratch buffer for cascading a higher-level slot.
-    cascade: Vec<Entry<E>>,
-    /// Wheel position: the slot time events are currently delivered
-    /// from. Never exceeds the earliest pending event time.
-    elapsed: u64,
-    next_seq: u64,
-    /// Count of pending events across slots, overflow, and batch.
-    len: usize,
-    /// Highest timestamp ever popped; used to catch causality violations.
-    last_popped: SimTime,
-}
-
-impl<E> Wheel<E> {
-    fn new() -> Self {
-        Wheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
-            deliver: Vec::new(),
-            cascade: Vec::new(),
-            elapsed: 0,
-            next_seq: 0,
-            len: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Wheel level for an event at `t` given the current position:
-    /// the highest 6-bit group where they differ.
-    #[inline]
-    fn level_for(elapsed: u64, t: u64) -> usize {
-        let diff = elapsed ^ t;
-        if diff == 0 {
-            return 0;
-        }
-        ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-    }
-
-    /// Place an entry into the wheel or the overflow heap. `entry.time`
-    /// must be ≥ `elapsed` (callers clamp).
-    #[inline]
-    fn place(&mut self, entry: Entry<E>) {
-        let t = entry.time.0;
-        debug_assert!(t >= self.elapsed);
-        self.place_at(t, entry);
-    }
-
-    /// [`Wheel::place`] with an explicit placement time `t` (the entry
-    /// keeps its own `time`): heap→wheel migration uses it to apply the
-    /// same past-time clamp [`Wheel::schedule`] applies, while
-    /// preserving `(time, seq)` pairs assigned by the heap.
-    #[inline]
-    fn place_at(&mut self, t: u64, entry: Entry<E>) {
-        debug_assert!(t >= self.elapsed);
-        if (t ^ self.elapsed) >> SPAN_BITS != 0 {
-            self.overflow.push(Reverse(entry));
-            return;
-        }
-        let level = Self::level_for(self.elapsed, t);
-        let slot = ((t >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push(entry);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(
             at >= self.last_popped,
             "scheduling into the past: {at:?} < {:?}",
@@ -336,128 +150,132 @@ impl<E> Wheel<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        // Clamp for wheel placement only (the entry keeps its time): a
-        // contract-violating past event lands in the current slot and
-        // still pops next, ordered by (time, seq) — matching the heap.
-        let t = SimTime(at.0.max(self.elapsed));
-        if !self.deliver.is_empty() && at.0 <= self.elapsed {
-            // A batch at `elapsed` is mid-delivery; merge by (time, seq)
-            // into the descending-sorted batch so order holds.
-            let entry = Entry {
-                time: at,
-                seq,
-                event,
-            };
-            let pos = self
-                .deliver
-                .partition_point(|e| (e.time, e.seq) > (entry.time, entry.seq));
-            self.deliver.insert(pos, entry);
-            return;
-        }
         self.place(Entry {
-            time: t,
+            time: at,
             seq,
             event,
         });
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        if let Some(e) = self.deliver.pop() {
-            self.len -= 1;
-            self.last_popped = e.time;
-            return Some((e.time, e.event));
+    /// File an entry into its ring bucket, or the overflow when it lies
+    /// beyond the window. A past-time entry (a release-mode contract
+    /// violation) files into the first bucket, so it still pops next.
+    #[inline]
+    fn place(&mut self, entry: Entry<E>) {
+        let bucket = (entry.time.0 >> BUCKET_BITS).max(self.base);
+        if bucket - self.base >= BUCKETS as u64 {
+            self.overflow.push(Reverse(entry));
+            return;
         }
-        loop {
-            // Pull overflow events that fit the wheel at its current
-            // position (each event migrates at most once).
+        let slot = bucket as usize % BUCKETS;
+        let events = &mut self.ring[slot];
+        if events.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *events = spare;
+            }
+        }
+        events.push(entry);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Absolute number of the first nonempty ring bucket, scanning the
+    /// bitmap in ring order from `base`.
+    #[inline]
+    fn first_occupied(&self) -> Option<u64> {
+        let start = self.base as usize % BUCKETS;
+        let (word, bit) = (start / 64, start % 64);
+        let ahead = self.occupied[word] >> bit;
+        if ahead != 0 {
+            return Some(self.base + u64::from(ahead.trailing_zeros()));
+        }
+        // The other words in ring order, then the start word again for
+        // its slots below `start`: the far end of the window.
+        (1..=WORDS).find_map(|k| {
+            let w = (word + k) % WORDS;
+            let bits = self.occupied[w];
+            (bits != 0).then(|| {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                self.base + ((slot + BUCKETS - start) % BUCKETS) as u64
+            })
+        })
+    }
+
+    /// Remove and return the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let bucket = match self.first_occupied() {
+            Some(bucket) => bucket,
+            // Ring empty: jump the window to the overflow's earliest event.
+            None => self.overflow.peek()?.0.time.0 >> BUCKET_BITS,
+        };
+        if bucket != self.base {
+            // Advance the window and pull in the overflow events it now
+            // covers. They all lie past `bucket`, which was already in
+            // the window, so its minimum stays the global one.
+            self.base = bucket;
+            let end = bucket + BUCKETS as u64;
             while let Some(Reverse(head)) = self.overflow.peek() {
-                if (head.time.0 ^ self.elapsed) >> SPAN_BITS != 0 {
+                if head.time.0 >> BUCKET_BITS >= end {
                     break;
                 }
                 let Reverse(entry) = self.overflow.pop().expect("peeked");
                 self.place(entry);
             }
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                // Wheel empty: jump to the overflow's earliest event.
-                let Reverse(head) = self.overflow.peek()?;
-                self.elapsed = head.time.0;
-                continue;
-            };
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                // One-picosecond slot: a batch of equal-time events.
-                let slot_time = (self.elapsed & !SLOT_MASK) | slot as u64;
-                debug_assert!(slot_time >= self.elapsed);
-                self.elapsed = slot_time;
-                self.occupied[0] &= !(1 << slot);
-                let bucket = &mut self.slots[slot];
-                std::mem::swap(bucket, &mut self.deliver);
-                self.deliver
-                    .sort_unstable_by_key(|e| Reverse((e.time, e.seq)));
-                let e = self.deliver.pop().expect("occupied slot was empty");
-                self.len -= 1;
-                self.last_popped = e.time;
-                return Some((e.time, e.event));
-            }
-            // Cascade: advance to the slot's base time and redistribute
-            // its events to lower levels.
-            let shift = SLOT_BITS * level as u32;
-            let base = ((self.elapsed >> shift >> SLOT_BITS) << SLOT_BITS | slot as u64) << shift;
-            debug_assert!(base >= self.elapsed);
-            self.elapsed = base;
-            self.occupied[level] &= !(1 << slot);
-            let idx = level * SLOTS + slot;
-            std::mem::swap(&mut self.slots[idx], &mut self.cascade);
-            let mut pending = std::mem::take(&mut self.cascade);
-            for entry in pending.drain(..) {
-                self.place(entry);
-            }
-            self.cascade = pending;
         }
+        let slot = bucket as usize % BUCKETS;
+        let events = &mut self.ring[slot];
+        let min = (0..events.len())
+            .min_by_key(|&i| (events[i].time, events[i].seq))
+            .expect("first occupied bucket is nonempty");
+        let e = events.swap_remove(min);
+        if events.is_empty() {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            self.spare.push(std::mem::take(events));
+        }
+        self.len -= 1;
+        self.last_popped = e.time;
+        Some((e.time, e.event))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.deliver.last() {
-            return Some(e.time);
-        }
-        if let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) {
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                return Some(SimTime((self.elapsed & !SLOT_MASK) | slot as u64));
-            }
-            // Higher-level slots are unordered inside: scan for the min.
-            return self.slots[level * SLOTS + slot]
+    /// Timestamp of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        match self.first_occupied() {
+            Some(bucket) => self.ring[bucket as usize % BUCKETS]
                 .iter()
                 .map(|e| e.time)
-                .min();
+                .min(),
+            None => self.overflow.peek().map(|Reverse(e)| e.time),
         }
-        self.overflow.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Back to the `Wheel::new()` state — no pending events, position
-    /// and sequence counter at zero — keeping every allocation.
-    fn reset(&mut self) {
-        for (level, bits) in self.occupied.iter_mut().enumerate() {
-            let mut b = *bits;
-            while b != 0 {
-                let slot = b.trailing_zeros() as usize;
-                b &= b - 1;
-                self.slots[level * SLOTS + slot].clear();
-            }
-            *bits = 0;
-        }
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Restore the pristine `EventQueue::new()` state — empty, window,
+    /// sequence counter and causality clock at zero — while keeping the
+    /// bucket and overflow allocations. A reset queue is observably
+    /// indistinguishable from a freshly built one; workspace reuse
+    /// across simulation cells depends on exactly that.
+    pub fn reset(&mut self) {
+        self.ring.iter_mut().for_each(Vec::clear);
+        self.occupied = [0; WORDS];
         self.overflow.clear();
-        self.deliver.clear();
+        self.base = 0;
         self.len = 0;
-        self.elapsed = 0;
         self.next_seq = 0;
         self.last_popped = SimTime::ZERO;
     }
 }
 
 /// The plain `BinaryHeap` event queue: the executable reference model
-/// the tests hold both of [`EventQueue`]'s regimes (and the streamed
-/// arrival cursor) against.
+/// the tests hold [`EventQueue`] (and the streamed arrival cursor)
+/// against.
 #[cfg(test)]
 pub(crate) struct HeapEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -502,6 +320,9 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    /// Picoseconds the ring window spans.
+    const WINDOW_PS: u64 = (BUCKETS as u64) << BUCKET_BITS;
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
@@ -514,7 +335,7 @@ mod tests {
 
     #[test]
     fn fifo_among_equal_times() {
-        let mut q = Wheel::new();
+        let mut q = EventQueue::new();
         for i in 0..100 {
             q.schedule(SimTime::from_us(7), i);
         }
@@ -547,7 +368,7 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_pop_is_stable() {
-        let mut q = Wheel::new();
+        let mut q = EventQueue::new();
         let t = SimTime::from_us(1);
         q.schedule(t, 1);
         q.schedule(t, 2);
@@ -558,10 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn same_time_insert_mid_batch_delivers_after_pending() {
-        // Schedule three at t, pop one (batch now mid-delivery), then
-        // schedule a fourth at t: it must pop last (largest seq).
-        let mut q = Wheel::new();
+    fn same_time_insert_mid_bucket_delivers_after_pending() {
+        // Schedule three at t, pop one (its bucket is now part drained),
+        // then schedule a fourth at t: it must pop last (largest seq).
+        let mut q = EventQueue::new();
         let t = SimTime::from_us(9);
         for i in 0..3 {
             q.schedule(t, i);
@@ -574,43 +395,54 @@ mod tests {
 
     #[test]
     fn far_future_goes_through_overflow_and_back() {
-        let mut q = Wheel::new();
-        // Beyond the 2^42 ps wheel span from t=0.
+        let mut q = EventQueue::new();
         let far = SimTime::from_secs(60);
         let farther = SimTime::from_secs(61);
         q.schedule(far, "far");
         q.schedule(farther, "farther");
+        q.schedule(far, "far, tied");
         q.schedule(SimTime::from_us(1), "near");
-        assert_eq!(q.len, 3);
+        assert_eq!((q.len(), q.overflow.len()), (4, 3));
         assert_eq!(q.pop().unwrap(), (SimTime::from_us(1), "near"));
+        assert_eq!(q.peek_time(), Some(far));
         assert_eq!(q.pop().unwrap(), (far, "far"));
-        // After migrating, nearer events can still be scheduled.
+        // After the jump, nearer events can still be scheduled.
         q.schedule(SimTime::from_secs(60) + SimDuration::from_us(5), "between");
+        assert_eq!(q.pop().unwrap(), (far, "far, tied"));
         assert_eq!(q.pop().unwrap().1, "between");
         assert_eq!(q.pop().unwrap(), (farther, "farther"));
         assert!(q.pop().is_none());
     }
 
     #[test]
-    fn cascades_across_levels() {
-        // Events spread over several orders of magnitude exercise every
-        // wheel level and the cascade path.
-        let mut q = Wheel::new();
-        let times: Vec<u64> = (0..20).map(|i| 1u64 << i).chain([0, 63, 64, 65]).collect();
-        for (i, &t) in times.iter().enumerate() {
+    fn window_edge_splits_ring_and_overflow() {
+        // The last picosecond of the window files into the ring; the
+        // window end and later go to the overflow until the window
+        // advances over them.
+        let mut q = EventQueue::new();
+        for (i, t) in [WINDOW_PS - 1, WINDOW_PS, WINDOW_PS + 1, 0]
+            .into_iter()
+            .enumerate()
+        {
             q.schedule(SimTime::from_ps(t), i);
         }
-        let mut sorted: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        sorted.sort();
-        let popped: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_ps(), e))).collect();
-        assert_eq!(popped, sorted);
+        assert_eq!(q.overflow.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_ps(WINDOW_PS - 1), 0)));
+        assert!(q.overflow.is_empty(), "advancing the window refills");
+        // The window now starts at that event's bucket and ends one
+        // bucket short of twice the first window's end.
+        let end = 2 * WINDOW_PS - (1 << BUCKET_BITS);
+        q.schedule(SimTime::from_ps(end), 5);
+        q.schedule(SimTime::from_ps(end - 1), 4);
+        assert_eq!(q.overflow.len(), 1);
+        let rest: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec![1, 2, 4, 5]);
     }
 
     #[test]
     fn heap_reference_agrees_on_dense_schedule() {
-        let mut wheel = Wheel::new();
+        let mut q = EventQueue::new();
         let mut heap = HeapEventQueue::new();
         // Deterministic pseudo-random times with heavy collisions.
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -619,11 +451,11 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let t = SimTime::from_ps(x % 4096);
-            wheel.schedule(t, i);
+            q.schedule(t, i);
             heap.schedule(t, i);
         }
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
+            let (a, b) = (q.pop(), heap.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -632,85 +464,78 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_migrates_once_and_keeps_fifo() {
-        let mut q = EventQueue::with_threshold(8);
-        let t = SimTime::from_us(3);
-        // Cross the threshold with heavy same-timestamp collisions: the
-        // migration must carry the heap-assigned sequence numbers.
-        for i in 0..20 {
-            q.schedule(t, i);
-        }
-        assert!(q.on_wheel, "threshold crossed: must be on the wheel");
-        assert_eq!(q.len(), 20);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..20).collect::<Vec<_>>());
-        // Draining does not demote: the queue migrates once.
-        q.schedule(t, 99);
-        assert!(q.on_wheel);
-    }
-
-    #[test]
-    fn adaptive_below_threshold_stays_on_heap() {
-        let mut q = EventQueue::with_threshold(64);
-        for i in 0..63 {
-            q.schedule(SimTime::from_us(i), i);
-        }
-        assert!(!q.on_wheel);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(0)));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..63).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn adaptive_migration_through_overflow_times() {
-        // Entries past the 2^42 ps wheel horizon at migration time must
-        // come back in order through the wheel's overflow heap.
-        let mut q = EventQueue::with_threshold(4);
-        q.schedule(SimTime::from_secs(60), "far");
-        q.schedule(SimTime::from_us(1), "near");
-        q.schedule(SimTime::from_secs(61), "farther");
-        q.schedule(SimTime::from_us(2), "soon");
-        assert!(q.on_wheel);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["near", "soon", "far", "farther"]);
-    }
-
-    #[test]
     fn reset_restores_pristine_state() {
-        // Drive a queue through a run that migrates, reset, and require
-        // the second run's pops to be identical to the first — the
-        // workspace-reuse contract.
-        let script = |q: &mut EventQueue<u64>| {
-            let mut popped = Vec::new();
-            for i in 0..12u64 {
-                q.schedule(SimTime::from_us(7 + (i % 3)), i);
-            }
-            while let Some((t, e)) = q.pop() {
-                popped.push((t, e));
-            }
-            popped
-        };
-        let mut reused = EventQueue::with_threshold(8);
-        let first = script(&mut reused);
-        assert!(reused.on_wheel);
-        reused.reset();
-        assert!(!reused.on_wheel, "reset returns to the heap regime");
-        assert!(reused.is_empty());
-        let second = script(&mut reused);
-        assert_eq!(first, second);
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 1u64);
+        q.schedule(SimTime::from_us(9), 2u64);
+        let _ = q.pop();
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        // The window is back at zero: a stale one would still pop in
+        // order, but would file every earlier event into one bucket.
+        assert_eq!((q.base, q.occupied), (0, [0; WORDS]));
+        // After reset, seq and window are fresh: scheduling at an earlier
+        // time than before the reset must be legal and ordered.
+        q.schedule(SimTime::from_us(1), 3u64);
+        q.schedule(SimTime::from_us(1), 4u64);
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 3u64)));
+        assert_eq!(q.pop(), Some((SimTime::from_us(1), 4u64)));
+        assert!(q.pop().is_none());
+    }
 
-        let mut wheel = Wheel::new();
-        wheel.schedule(SimTime::from_us(5), 1u64);
-        let _ = wheel.pop();
-        wheel.schedule(SimTime::from_us(9), 2u64);
-        wheel.reset();
-        // After reset, seq and position are fresh: scheduling at an
-        // earlier time than before the reset must be legal and ordered.
-        wheel.schedule(SimTime::from_us(1), 3u64);
-        wheel.schedule(SimTime::from_us(1), 4u64);
-        assert_eq!(wheel.pop(), Some((SimTime::from_us(1), 3u64)));
-        assert_eq!(wheel.pop(), Some((SimTime::from_us(1), 4u64)));
-        assert!(wheel.pop().is_none());
+    /// Offset from `now` for one scheduling op; `kind` picks the shape so
+    /// every placement path of the calendar is hit.
+    fn offset(now: SimTime, kind: u8, raw: u64) -> u64 {
+        // Picoseconds from `now` to the start of the bucket `k` ahead.
+        let to_bucket = |k: u64| (((now.0 >> BUCKET_BITS) + k) << BUCKET_BITS) - now.0;
+        match kind {
+            // Ties: 0..4 ps, many events on identical timestamps.
+            0 | 1 => raw % 4,
+            // Inside the current or next bucket.
+            2 => raw << (BUCKET_BITS - 6),
+            // One picosecond before, at, or after a bucket boundary.
+            3 => to_bucket(1 + raw % 8) + raw % 3 - 1,
+            // One picosecond before, at, or after the window's end.
+            4 => to_bucket(BUCKETS as u64) + raw % 3 - 1,
+            // Far beyond the window (5 s timeouts), tie-prone.
+            _ => SimDuration::from_secs(5).0 + ((raw % 4) << 30),
+        }
+    }
+
+    /// Drive `q` and the heap reference through `ops`, requiring equal
+    /// pops, lengths and head times throughout, then drain both.
+    fn check_against_heap(
+        q: &mut EventQueue<u64>,
+        ops: &[(u8, u64)],
+    ) -> Result<Vec<(SimTime, u64)>, proptest::TestCaseError> {
+        let mut heap = HeapEventQueue::new();
+        let mut now = SimTime::ZERO;
+        let mut popped = Vec::new();
+        for (id, &(kind, raw)) in ops.iter().enumerate() {
+            if kind < 6 {
+                let t = now + SimDuration::from_ps(offset(now, kind, raw));
+                q.schedule(t, id as u64);
+                heap.schedule(t, id as u64);
+            } else {
+                let a = q.pop();
+                proptest::prop_assert_eq!(a, heap.pop());
+                if let Some((t, id)) = a {
+                    now = t;
+                    popped.push((t, id));
+                }
+            }
+            proptest::prop_assert_eq!(q.len(), heap.len());
+            proptest::prop_assert_eq!(q.peek_time(), heap.peek_time());
+        }
+        loop {
+            let a = q.pop();
+            proptest::prop_assert_eq!(a, heap.pop());
+            match a {
+                Some(p) => popped.push(p),
+                None => return Ok(popped),
+            }
+        }
     }
 
     proptest::proptest! {
@@ -736,110 +561,42 @@ mod tests {
             proptest::prop_assert_eq!(popped, times.len());
         }
 
-        /// The wheel agrees with the binary-heap reference model on
-        /// arbitrary push/pop interleavings: heavy same-timestamp
-        /// collisions, offsets spanning every wheel level, and
-        /// far-future times past the 2^42 ps wheel horizon (which
-        /// travel through the overflow heap and migrate back).
+        /// The calendar agrees with the binary-heap reference model on
+        /// arbitrary push/pop interleavings: same-timestamp ties inside
+        /// a bucket, times straddling bucket boundaries, times at and
+        /// just past the window's end, and 5 s timeouts far beyond it
+        /// (through the overflow and back as the window advances).
         #[test]
         fn prop_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
+            ops in proptest::collection::vec((0u8..9, 0u64..64), 1..400),
         ) {
-            let mut wheel = Wheel::new();
-            let mut heap = HeapEventQueue::new();
-            let mut now = SimTime::ZERO;
-            let mut next_id = 0u64;
-            for &(kind, raw) in &ops {
-                match kind {
-                    // Schedules at now + offset; the offset shape is
-                    // chosen by kind so every wheel regime is hit.
-                    0..=4 => {
-                        let offset = match kind {
-                            // Collision-heavy: offsets 0..4 ps, many
-                            // events land on identical timestamps.
-                            0 | 1 => raw % 4,
-                            // Around slot boundaries of level 0/1.
-                            2 => raw * 64,
-                            // High levels of the wheel.
-                            3 => raw << 36,
-                            // Past the wheel horizon: overflow heap.
-                            _ => (1u64 << 42) + (raw << 30),
-                        };
-                        let t = now + SimDuration::from_ps(offset);
-                        wheel.schedule(t, next_id);
-                        heap.schedule(t, next_id);
-                        next_id += 1;
-                    }
-                    // Pops must agree exactly, including on empty.
-                    _ => {
-                        let (a, b) = (wheel.pop(), heap.pop());
-                        proptest::prop_assert_eq!(a, b);
-                        if let Some((t, _)) = a {
-                            now = t;
-                        }
-                    }
-                }
-            }
-            // Drain both queues in lockstep to the end.
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                proptest::prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            check_against_heap(&mut EventQueue::new(), &ops)?;
         }
 
-        /// The queue agrees with BOTH references — the binary heap and
-        /// the bare timing wheel — on arbitrary push/pop interleavings
-        /// whose pending count wanders across the migration threshold
-        /// (small thresholds force the migration to happen
-        /// mid-interleaving, in every offset regime).
+        /// A queue that was used, reset and reused pops exactly what a
+        /// fresh queue pops: workspace reuse depends on it.
         #[test]
-        fn prop_adaptive_matches_both_references(
-            ops in proptest::collection::vec((0u8..8, 0u64..64), 1..400),
-            threshold in 1usize..48,
+        fn prop_reset_reuse_matches_fresh(
+            warmup in proptest::collection::vec((0u8..9, 0u64..64), 0..200),
+            ops in proptest::collection::vec((0u8..9, 0u64..64), 1..200),
+            drain_warmup in 0u8..2,
         ) {
-            let mut adaptive = EventQueue::with_threshold(threshold);
-            let mut wheel = Wheel::new();
-            let mut heap = HeapEventQueue::new();
+            let mut reused = EventQueue::new();
             let mut now = SimTime::ZERO;
-            let mut next_id = 0u64;
-            for &(kind, raw) in &ops {
-                match kind {
-                    0..=4 => {
-                        let offset = match kind {
-                            0 | 1 => raw % 4,
-                            2 => raw * 64,
-                            3 => raw << 36,
-                            _ => (1u64 << 42) + (raw << 30),
-                        };
-                        let t = now + SimDuration::from_ps(offset);
-                        adaptive.schedule(t, next_id);
-                        wheel.schedule(t, next_id);
-                        heap.schedule(t, next_id);
-                        next_id += 1;
-                    }
-                    _ => {
-                        let a = adaptive.pop();
-                        proptest::prop_assert_eq!(a, wheel.pop());
-                        proptest::prop_assert_eq!(a, heap.pop());
-                        proptest::prop_assert_eq!(adaptive.len(), heap.len());
-                        proptest::prop_assert_eq!(adaptive.peek_time(), heap.peek_time());
-                        if let Some((t, _)) = a {
-                            now = t;
-                        }
-                    }
+            for (id, &(kind, raw)) in warmup.iter().enumerate() {
+                if kind < 6 {
+                    let t = now + SimDuration::from_ps(offset(now, kind, raw));
+                    reused.schedule(t, id as u64);
+                } else if let Some((t, _)) = reused.pop() {
+                    now = t;
                 }
             }
-            loop {
-                let a = adaptive.pop();
-                proptest::prop_assert_eq!(a, wheel.pop());
-                proptest::prop_assert_eq!(a, heap.pop());
-                if a.is_none() {
-                    break;
-                }
+            if drain_warmup == 1 {
+                while reused.pop().is_some() {}
             }
+            reused.reset();
+            let fresh = check_against_heap(&mut EventQueue::new(), &ops)?;
+            proptest::prop_assert_eq!(check_against_heap(&mut reused, &ops)?, fresh);
         }
     }
 }

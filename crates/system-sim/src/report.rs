@@ -96,7 +96,7 @@ pub struct SystemReport {
     /// packet, summed over links (see `net_sim::Network`).
     pub bursts_coalesced: u64,
     /// Packets delivered through the deferred-arrival fast path — each
-    /// one an `Arrive` event the wheel never carried.
+    /// one an `Arrive` event the queue never carried.
     pub packets_coalesced: u64,
 }
 

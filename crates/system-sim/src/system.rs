@@ -323,7 +323,8 @@ pub fn run_system(
 
     // Flows: a bidirectional pair per (initiator, target).
     let mut out_flows = vec![vec![FlowId(usize::MAX); cfg.n_targets]; cfg.n_initiators];
-    let mut flow_roles: FastMap<FlowId, FlowRole> = FastMap::default();
+    // Indexed by `FlowId.0`: `Network` issues dense ids in creation order.
+    let mut flow_roles: Vec<FlowRole> = Vec::new();
     let mut targets: Vec<TargetState> = Vec::with_capacity(cfg.n_targets);
     for (t_idx, &th) in tgt_hosts.iter().enumerate() {
         let discipline = match cfg.mode {
@@ -344,10 +345,12 @@ pub fn run_system(
         for (i_idx, &ih) in init_hosts.iter().enumerate() {
             let fo = net.add_flow(ih, th);
             out_flows[i_idx][t_idx] = fo;
-            flow_roles.insert(fo, FlowRole::Outbound);
+            assert_eq!(fo.0, flow_roles.len(), "flow ids are dense");
+            flow_roles.push(FlowRole::Outbound);
             let fi = net.add_flow(th, ih);
             in_flows.push(fi);
-            flow_roles.insert(fi, FlowRole::Inbound { target: t_idx });
+            assert_eq!(fi.0, flow_roles.len(), "flow ids are dense");
+            flow_roles.push(FlowRole::Inbound { target: t_idx });
         }
         targets.push(TargetState {
             host: th,
@@ -401,7 +404,8 @@ pub fn run_system(
         );
         for &bh in &bg_hosts {
             let f = net.add_fixed_rate_flow(bh, init_hosts[0], bg.rate_per_source);
-            flow_roles.insert(f, FlowRole::Background);
+            assert_eq!(f.0, flow_roles.len(), "flow ids are dense");
+            flow_roles.push(FlowRole::Background);
             bg_flows.push(f);
         }
     }
@@ -658,7 +662,7 @@ pub fn run_system(
             // changes, aggregated per target.
             notified.clear();
             for (flow, rate) in &step.rate_changes {
-                if let Some(FlowRole::Inbound { target }) = flow_roles.get(flow) {
+                if let FlowRole::Inbound { target } = &flow_roles[flow.0] {
                     report.min_inbound_rate_gbps =
                         report.min_inbound_rate_gbps.min(rate.as_gbps_f64());
                     if !notified.contains(target) {
@@ -697,7 +701,7 @@ pub fn run_system(
                 }
             }
             for d in &step.deliveries {
-                if matches!(flow_roles.get(&d.flow), Some(FlowRole::Background)) {
+                if matches!(flow_roles[d.flow.0], FlowRole::Background) {
                     continue;
                 }
                 if !d.last {

@@ -7,7 +7,7 @@
 //! was captured from a verified run and is byte-identical in both
 //! sink modes (buffered `RingSink` and streaming `FileSink`).
 //!
-//! Any change to event ordering — the timing-wheel event queue, the
+//! Any change to event ordering — the calendar event queue, the
 //! allocation-free step plumbing, scheduler chunking — that perturbs
 //! the simulation shows up here as a byte diff, turning "determinism
 //! preserved" from a claim into a test.
