@@ -104,6 +104,24 @@ pub trait QueueDiscipline: Send {
         1
     }
 
+    /// Track twins: arbiters for the weight ratios in `weights`, each
+    /// starting a fresh round, that choose on the same queue state as
+    /// the arbiter in force at every fetch and keep their own tokens.
+    /// Replaces any twins tracked before. Call it before the first
+    /// fetch for [`QueueDiscipline::twins`] to describe whole runs.
+    /// Default: no-op (a discipline without weights has no twins).
+    fn track_twins(&mut self, _weights: &[u32]) {}
+
+    /// Weights of the tracked twins that have chosen the same queue, or
+    /// no fetch, as the arbiter in force at every fetch so far: a run
+    /// started at one of these weights would have made the same fetch
+    /// at every call, so it is the same run. A twin is dropped at the
+    /// first different choice, and [`QueueDiscipline::set_weight_ratio`]
+    /// drops them all. Default: none.
+    fn twins(&self) -> Vec<u32> {
+        Vec::new()
+    }
+
     /// True when nothing is queued or outstanding.
     fn is_idle(&self) -> bool {
         self.queued() == 0 && self.outstanding() == 0

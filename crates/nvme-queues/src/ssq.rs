@@ -11,16 +11,30 @@
 //!   weight knob fades out under light load (paper Sec. III-B, Table IV).
 //! * The device queue depth is partitioned between the classes in
 //!   proportion to the weights; a class may borrow the whole budget when
-//!   the other class is completely idle.
+//!   the other class is completely idle. The tokens and the two caps make
+//!   up one arbiter; the caps are computed when the weight is set.
+//! * Twins: the SSQ can carry arbiters for other weight ratios that
+//!   choose on the same queue state at every fetch and keep their own
+//!   tokens. A twin is dropped at the first fetch where its choice (which
+//!   queue, or none) differs from the arbiter in force. Fetch choices are
+//!   the only way the weight reaches a run, so a twin that survives a run
+//!   would, as the arbiter in force, have made the same fetch at every
+//!   call: the run stands for its weight too. Weight sweeps use this to
+//!   simulate each distinct run once.
 //! * Consistency checking: a request overlapping the LBA range of a
 //!   *waiting* request is placed in that request's queue, so dependent
 //!   I/O never reorders; its fetch still charges a token of its own I/O
-//!   class, preserving the demanded weight ratio.
+//!   class, preserving the demanded weight ratio. The checker keeps each
+//!   sector's latest waiting owner and probes that map once per sector
+//!   per operation.
 
 use crate::{FetchDecision, QueueDiscipline};
 use sim_engine::FastMap;
 use std::collections::VecDeque;
 use workload::{IoType, Request};
+
+#[cfg(test)]
+mod reference;
 
 /// Which physical queue a command waits in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,16 +43,150 @@ enum Sq {
     Wsq,
 }
 
+/// What every arbiter sees of the queues at one fetch.
+struct FetchState {
+    /// Class of RSQ's head command (`None`: RSQ is empty).
+    rsq_head: Option<IoType>,
+    /// Class of WSQ's head command (`None`: WSQ is empty).
+    wsq_head: Option<IoType>,
+    outstanding_r: usize,
+    outstanding_w: usize,
+    /// The read gate is open.
+    read_allowed: bool,
+    /// Every device queue-depth slot is taken.
+    full: bool,
+}
+
+impl FetchState {
+    fn head(&self, sq: Sq) -> Option<IoType> {
+        match sq {
+            Sq::Rsq => self.rsq_head,
+            Sq::Wsq => self.wsq_head,
+        }
+    }
+}
+
+/// Weighted-round-robin state for one write:read weight ratio: the
+/// round's tokens and the per-class queue-depth caps the weight implies.
+#[derive(Clone, Copy, Debug)]
+struct Arbiter {
+    /// Write:read weight ratio (`w >= 1`; read weight is fixed at 1).
+    weight: u32,
+    tokens_r: u32,
+    tokens_w: u32,
+    r_cap: usize,
+    w_cap: usize,
+}
+
+impl Arbiter {
+    /// A fresh round at weight `w` for a device of queue depth `qd`:
+    /// writes get `w/(w+1)` of QD, reads the rest, each at least 1.
+    fn new(qd: usize, w: u32) -> Self {
+        assert!(w >= 1, "weight ratio must be at least 1");
+        let (r_cap, w_cap) = if qd == 1 {
+            // A QD-1 device cannot be partitioned; both classes share
+            // the single slot (the total-outstanding check still caps
+            // concurrency at 1).
+            (1, 1)
+        } else {
+            let wf = w as f64;
+            let write_cap = ((qd as f64) * wf / (wf + 1.0)).round() as usize;
+            let write_cap = write_cap.clamp(1, qd - 1);
+            (qd - write_cap, write_cap)
+        };
+        Arbiter {
+            weight: w,
+            tokens_r: 1,
+            tokens_w: w,
+            r_cap,
+            w_cap,
+        }
+    }
+
+    fn new_round(&mut self) {
+        self.tokens_r = 1;
+        self.tokens_w = self.weight;
+    }
+
+    /// Would a fetch from `sq` respect this arbiter's per-class QD cap
+    /// and the read gate?
+    ///
+    /// The gate only applies to RSQ: a consistency-rerouted read at the
+    /// head of WSQ is fetched even when reads are gated — otherwise one
+    /// dependent read would head-of-line-block the whole write queue,
+    /// recreating under SSQ exactly the stall the mechanism exists to
+    /// avoid. Rerouted reads are rare (same-LBA dependencies), so the
+    /// backpressure goal is unaffected.
+    fn eligible(&self, s: &FetchState, sq: Sq) -> bool {
+        match s.head(sq) {
+            None => false,
+            Some(_) if s.full => false,
+            Some(IoType::Read) => {
+                (s.read_allowed || sq == Sq::Wsq)
+                    && (s.outstanding_r < self.r_cap
+                        // Borrow the idle write budget when writes are
+                        // completely absent.
+                        || (s.wsq_head.is_none() && s.outstanding_w == 0))
+            }
+            Some(IoType::Write) => {
+                s.outstanding_w < self.w_cap || (s.rsq_head.is_none() && s.outstanding_r == 0)
+            }
+        }
+    }
+
+    /// Weighted round-robin with the empty-queue fade-out rule: the
+    /// queue to fetch from and whether the fetch spends a token (which
+    /// this call charges), or `None` when neither head is eligible.
+    fn choose(&mut self, s: &FetchState) -> Option<(Sq, bool)> {
+        let r_ok = self.eligible(s, Sq::Rsq);
+        let w_ok = self.eligible(s, Sq::Wsq);
+        if !r_ok && !w_ok {
+            return None;
+        }
+        // Reset the round when all tokens are spent.
+        if self.tokens_r == 0 && self.tokens_w == 0 {
+            self.new_round();
+        }
+        // Prefer the write queue while it has tokens (it holds the larger
+        // share), then the read queue; a queue that is empty forfeits its
+        // turn without token manipulation.
+        let (sq, charged) = if self.tokens_w > 0 && w_ok {
+            (Sq::Wsq, true)
+        } else if self.tokens_w > 0 && r_ok && s.wsq_head.is_none() {
+            (Sq::Rsq, false)
+        } else if self.tokens_r > 0 && r_ok {
+            (Sq::Rsq, true)
+        } else if self.tokens_r > 0 && w_ok && s.rsq_head.is_none() {
+            (Sq::Wsq, false)
+        } else {
+            // Tokens for the eligible queue are spent; start a new round.
+            self.new_round();
+            (if w_ok { Sq::Wsq } else { Sq::Rsq }, true)
+        };
+        // Charge a token of the command's own class (paper: "removes one
+        // token from the corresponding SQ that holds the same I/O type").
+        if charged {
+            match s.head(sq) {
+                Some(IoType::Read) => self.tokens_r = self.tokens_r.saturating_sub(1),
+                Some(IoType::Write) => self.tokens_w = self.tokens_w.saturating_sub(1),
+                None => unreachable!("an eligible queue has a head"),
+            }
+        }
+        Some((sq, charged))
+    }
+}
+
 /// The SSQ discipline.
 #[derive(Debug)]
 pub struct SsqQueues {
     rsq: VecDeque<Request>,
     wsq: VecDeque<Request>,
     qd: usize,
-    /// Write:read weight ratio (`w >= 1`; read weight is fixed at 1).
-    weight_w: u32,
-    tokens_r: u32,
-    tokens_w: u32,
+    /// The arbiter in force.
+    arbiter: Arbiter,
+    /// Arbiters for other weights that have chosen as `arbiter` at every
+    /// fetch since they were tracked.
+    twins: Vec<Arbiter>,
     outstanding_r: usize,
     outstanding_w: usize,
     /// sector -> id of the most recent *waiting* command touching it.
@@ -69,14 +217,12 @@ impl SsqQueues {
     /// Panics if `qd == 0` or `w == 0`.
     pub fn new(qd: usize, w: u32) -> Self {
         assert!(qd > 0, "queue depth must be positive");
-        assert!(w >= 1, "weight ratio must be at least 1");
         SsqQueues {
             rsq: VecDeque::new(),
             wsq: VecDeque::new(),
             qd,
-            weight_w: w,
-            tokens_r: 1,
-            tokens_w: w,
+            arbiter: Arbiter::new(qd, w),
+            twins: Vec::new(),
             outstanding_r: 0,
             outstanding_w: 0,
             sector_owner: FastMap::default(),
@@ -159,16 +305,7 @@ impl SsqQueues {
     /// the weight ratio: writes get `w/(w+1)` of QD, reads the rest, each
     /// at least 1.
     pub fn qd_partition(&self) -> (usize, usize) {
-        if self.qd == 1 {
-            // A QD-1 device cannot be partitioned; both classes share
-            // the single slot (the total-outstanding check still caps
-            // concurrency at 1).
-            return (1, 1);
-        }
-        let w = self.weight_w as f64;
-        let write_cap = ((self.qd as f64) * w / (w + 1.0)).round() as usize;
-        let write_cap = write_cap.clamp(1, self.qd - 1);
-        (self.qd - write_cap, write_cap)
+        (self.arbiter.r_cap, self.arbiter.w_cap)
     }
 
     /// Fetches per class so far `(reads, writes)`.
@@ -182,68 +319,20 @@ impl SsqQueues {
         self.free_fetches
     }
 
-    fn queue_of(&self, sq: Sq) -> &VecDeque<Request> {
-        match sq {
-            Sq::Rsq => &self.rsq,
-            Sq::Wsq => &self.wsq,
-        }
-    }
-
-    /// Would a fetch from `sq` respect the per-class QD cap and the
-    /// read gate?
-    ///
-    /// The gate only applies to RSQ: a consistency-rerouted read at the
-    /// head of WSQ is fetched even when reads are gated — otherwise one
-    /// dependent read would head-of-line-block the whole write queue,
-    /// recreating under SSQ exactly the stall the mechanism exists to
-    /// avoid. Rerouted reads are rare (same-LBA dependencies), so the
-    /// backpressure goal is unaffected.
-    fn head_eligible(&self, sq: Sq, read_allowed: bool) -> bool {
-        let Some(head) = self.queue_of(sq).front() else {
-            return false;
-        };
-        if head.op.is_read() && !read_allowed && sq == Sq::Rsq {
-            return false;
-        }
-        let (r_cap, w_cap) = self.qd_partition();
-        let total = self.outstanding_r + self.outstanding_w;
-        if total >= self.qd {
-            return false;
-        }
-        match head.op {
-            IoType::Read => {
-                self.outstanding_r < r_cap
-                    // Borrow the idle write budget when writes are
-                    // completely absent.
-                    || (self.wsq.is_empty() && self.outstanding_w == 0)
-            }
-            IoType::Write => {
-                self.outstanding_w < w_cap || (self.rsq.is_empty() && self.outstanding_r == 0)
-            }
-        }
-    }
-
-    fn pop(&mut self, sq: Sq, charge_token: bool) -> Request {
+    fn pop(&mut self, sq: Sq, charged: bool) -> Request {
         let cmd = match sq {
             Sq::Rsq => self.rsq.pop_front(),
             Sq::Wsq => self.wsq.pop_front(),
         }
         .expect("pop from checked nonempty queue");
-        // Charge a token of the command's own class (paper: "removes one
-        // token from the corresponding SQ that holds the same I/O type").
-        if charge_token {
-            match cmd.op {
-                IoType::Read => self.tokens_r = self.tokens_r.saturating_sub(1),
-                IoType::Write => self.tokens_w = self.tokens_w.saturating_sub(1),
-            }
-        } else {
+        if !charged {
             self.free_fetches += 1;
         }
         if self.telemetry {
             self.decisions.push(FetchDecision {
                 op: cmd.op,
-                charged: charge_token,
-                weight: self.weight_w,
+                charged,
+                weight: self.arbiter.weight,
             });
         }
         match cmd.op {
@@ -256,12 +345,14 @@ impl SsqQueues {
                 self.fetched_w += 1;
             }
         }
-        // Drop the consistency bookkeeping for this command.
+        // Drop the consistency bookkeeping for this command. A sector a
+        // later request overwrote stays that request's.
         self.waiting.remove(&cmd.id);
-        let end = cmd.lba_end();
-        for sector in cmd.lba..end {
-            if self.sector_owner.get(&sector) == Some(&cmd.id) {
-                self.sector_owner.remove(&sector);
+        for sector in cmd.lba..cmd.lba_end() {
+            if let Some(owner) = self.sector_owner.remove(&sector) {
+                if owner != cmd.id {
+                    self.sector_owner.insert(sector, owner);
+                }
             }
         }
         cmd
@@ -282,22 +373,22 @@ impl QueueDiscipline for SsqQueues {
             // overlaps waiting requests in BOTH queues, a single queue
             // cannot serialize against both — a known limitation of the
             // paper's same-queue mechanism; following the latest
-            // dependency matches its R_{t-tau} formulation.
+            // dependency matches its R_{t-tau} formulation. Each sector
+            // is visited once, so taking its previous owner while
+            // recording this request sees only owners from before it.
             let mut latest: Option<(u64, Sq)> = None;
             for sector in cmd.lba..cmd.lba_end() {
-                if let Some(owner) = self.sector_owner.get(&sector) {
-                    if let Some(&sq) = self.waiting.get(owner) {
-                        if latest.is_none_or(|(id, _)| *owner > id) {
-                            latest = Some((*owner, sq));
-                        }
+                let Some(owner) = self.sector_owner.insert(sector, cmd.id) else {
+                    continue;
+                };
+                if let Some(&sq) = self.waiting.get(&owner) {
+                    if latest.is_none_or(|(id, _)| owner > id) {
+                        latest = Some((owner, sq));
                     }
                 }
             }
             if let Some((_, sq)) = latest {
                 target = sq;
-            }
-            for sector in cmd.lba..cmd.lba_end() {
-                self.sector_owner.insert(sector, cmd.id);
             }
         }
         self.waiting.insert(cmd.id, target);
@@ -308,46 +399,20 @@ impl QueueDiscipline for SsqQueues {
     }
 
     fn fetch_gated(&mut self, read_allowed: bool) -> Option<Request> {
-        // Weighted round-robin with the empty-queue fade-out rule.
-        let r_ok = self.head_eligible(Sq::Rsq, read_allowed);
-        let w_ok = self.head_eligible(Sq::Wsq, read_allowed);
-        if !r_ok && !w_ok {
-            return None;
-        }
-        // Reset the round when all tokens are spent.
-        if self.tokens_r == 0 && self.tokens_w == 0 {
-            self.tokens_r = 1;
-            self.tokens_w = self.weight_w;
-        }
-        // Prefer the write queue while it has tokens (it holds the larger
-        // share), then the read queue; a queue that is empty forfeits its
-        // turn without token manipulation.
-        if self.tokens_w > 0 {
-            if w_ok {
-                return Some(self.pop(Sq::Wsq, true));
-            }
-            if r_ok && self.wsq.is_empty() {
-                return Some(self.pop(Sq::Rsq, false));
-            }
-        }
-        if self.tokens_r > 0 {
-            if r_ok {
-                return Some(self.pop(Sq::Rsq, true));
-            }
-            if w_ok && self.rsq.is_empty() {
-                return Some(self.pop(Sq::Wsq, false));
-            }
-        }
-        // Tokens for the eligible queue are spent; start a new round.
-        self.tokens_r = 1;
-        self.tokens_w = self.weight_w;
-        if self.tokens_w > 0 && w_ok {
-            return Some(self.pop(Sq::Wsq, true));
-        }
-        if r_ok {
-            return Some(self.pop(Sq::Rsq, true));
-        }
-        None
+        let state = FetchState {
+            rsq_head: self.rsq.front().map(|r| r.op),
+            wsq_head: self.wsq.front().map(|r| r.op),
+            outstanding_r: self.outstanding_r,
+            outstanding_w: self.outstanding_w,
+            read_allowed,
+            full: self.outstanding_r + self.outstanding_w >= self.qd,
+        };
+        let pick = self.arbiter.choose(&state);
+        let chosen = pick.map(|(sq, _)| sq);
+        self.twins
+            .retain_mut(|twin| twin.choose(&state).map(|(sq, _)| sq) == chosen);
+        let (sq, charged) = pick?;
+        Some(self.pop(sq, charged))
     }
 
     fn on_complete(&mut self, op: IoType) {
@@ -382,15 +447,22 @@ impl QueueDiscipline for SsqQueues {
     }
 
     fn set_weight_ratio(&mut self, w: u32) {
-        assert!(w >= 1, "weight ratio must be at least 1");
-        self.weight_w = w;
-        // Start a fresh round under the new weights.
-        self.tokens_r = 1;
-        self.tokens_w = w;
+        // Start a fresh round under the new weights. A twin stood for a
+        // run at its own weight throughout, which this run no longer is.
+        self.arbiter = Arbiter::new(self.qd, w);
+        self.twins.clear();
     }
 
     fn weight_ratio(&self) -> u32 {
-        self.weight_w
+        self.arbiter.weight
+    }
+
+    fn track_twins(&mut self, weights: &[u32]) {
+        self.twins = weights.iter().map(|&w| Arbiter::new(self.qd, w)).collect();
+    }
+
+    fn twins(&self) -> Vec<u32> {
+        self.twins.iter().map(|t| t.weight).collect()
     }
 
     fn enqueue_or_merge(&mut self, cmd: Request) -> bool {
@@ -871,5 +943,144 @@ mod review_regression_tests {
         }
         let pos = |id: u64| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(2) < pos(3), "latest dependency serialized: {order:?}");
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::reference::ReferenceSsq;
+    use super::*;
+    use sim_engine::SimTime;
+
+    /// The counters the oracle compares that are not on the trait.
+    trait Counters: QueueDiscipline {
+        fn consistency(&mut self, on: bool);
+        fn counters(&self) -> [u64; 4];
+    }
+
+    impl Counters for SsqQueues {
+        fn consistency(&mut self, on: bool) {
+            self.set_consistency_checking(on);
+        }
+        fn counters(&self) -> [u64; 4] {
+            let (r, w) = self.fetch_counts();
+            [r, w, self.free_fetches(), self.merges()]
+        }
+    }
+
+    impl Counters for ReferenceSsq {
+        fn consistency(&mut self, on: bool) {
+            self.set_consistency_checking(on);
+        }
+        fn counters(&self) -> [u64; 4] {
+            let (r, w) = self.fetch_counts();
+            [r, w, self.free_fetches(), self.merges()]
+        }
+    }
+
+    /// What one step leaves observable: the fetch result (`None` for
+    /// a step that does not fetch), queued reads and writes,
+    /// outstanding commands, and the counters.
+    type Observation = (Option<Option<u64>>, usize, usize, usize, [u64; 4]);
+
+    /// Apply one random interleaving. A step is `(kind, a, b, flag)`:
+    /// kinds 0–7 enqueue a request at sector `a` of `b` sectors (reads
+    /// and writes by `flag`; kinds 4–7 through `enqueue_or_merge`),
+    /// 8–15 fetch with the read gate open unless `flag` is 0 and `a` is
+    /// odd, 16–21 complete the in-flight command at position `a`, 22
+    /// sets weight `1 + a % 8`, 23 sets consistency checking to `flag`.
+    fn drive<Q: Counters>(q: &mut Q, steps: &[(u8, u64, u64, u8)]) -> Vec<Observation> {
+        let mut in_flight: Vec<IoType> = Vec::new();
+        let mut obs = Vec::with_capacity(steps.len());
+        for (id, &(kind, a, b, flag)) in steps.iter().enumerate() {
+            let mut fetched = None;
+            match kind {
+                0..=7 => {
+                    let cmd = Request {
+                        id: id as u64,
+                        op: if flag == 0 {
+                            IoType::Read
+                        } else {
+                            IoType::Write
+                        },
+                        lba: a,
+                        size: b * 4096,
+                        arrival: SimTime::ZERO,
+                    };
+                    if kind < 4 {
+                        q.enqueue(cmd);
+                    } else {
+                        q.enqueue_or_merge(cmd);
+                    }
+                }
+                8..=15 => {
+                    let cmd = q.fetch_gated(flag == 1 || a % 2 == 0);
+                    in_flight.extend(cmd.map(|c| c.op));
+                    fetched = Some(cmd.map(|c| c.id));
+                }
+                16..=21 if !in_flight.is_empty() => {
+                    let op = in_flight.remove(a as usize % in_flight.len());
+                    q.on_complete(op);
+                }
+                16..=21 => {}
+                22 => q.set_weight_ratio(1 + (a % 8) as u32),
+                _ => q.consistency(flag == 1),
+            }
+            obs.push((
+                fetched,
+                q.queued_of(IoType::Read),
+                q.queued_of(IoType::Write),
+                q.outstanding(),
+                q.counters(),
+            ));
+        }
+        obs
+    }
+
+    fn fetches(obs: &[Observation]) -> Vec<Option<u64>> {
+        obs.iter().filter_map(|o| o.0).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The one-probe checker and the arbiter split fetch exactly
+        /// what the two-map reference fetches, for random interleavings
+        /// of every SSQ operation over a 64-sector LBA space (so
+        /// dependencies land in both queues). Twins tracked from the
+        /// start survive exactly when the reference run at their weight
+        /// makes the same fetch choices.
+        #[test]
+        fn prop_matches_reference_and_twins_are_exact(
+            qd in 1usize..17,
+            w in 1u32..9,
+            cap in 0u64..3,
+            reweight in 0u8..2,
+            steps in proptest::collection::vec((0u8..24, 0u64..64, 1u64..13, 0u8..2), 1..300),
+        ) {
+            let merge_cap = [None, Some(16 * 4096), Some(48 * 4096)][cap as usize];
+            // Half the cases never change the weight, so twins can last.
+            let steps: Vec<_> = steps.into_iter().filter(|s| reweight == 1 || s.0 != 22).collect();
+            let mut fast = SsqQueues::new(qd, w);
+            fast.set_merge_cap(merge_cap);
+            let all: Vec<u32> = (1..=8).collect();
+            fast.track_twins(&all);
+            let mut oracle = ReferenceSsq::new(qd, w);
+            oracle.set_merge_cap(merge_cap);
+            let got = drive(&mut fast, &steps);
+            let want = drive(&mut oracle, &steps);
+            proptest::prop_assert_eq!(&got, &want);
+
+            let reweighted = steps.iter().any(|s| s.0 == 22);
+            let mut same_run = Vec::new();
+            for &v in &all {
+                let mut alone = ReferenceSsq::new(qd, v);
+                alone.set_merge_cap(merge_cap);
+                if !reweighted && fetches(&drive(&mut alone, &steps)) == fetches(&want) {
+                    same_run.push(v);
+                }
+            }
+            proptest::prop_assert_eq!(fast.twins(), same_run);
+        }
     }
 }

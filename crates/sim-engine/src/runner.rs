@@ -31,7 +31,6 @@
 //! training inside a grid cell) automatically run serially inside pool
 //! workers, so the process never exceeds the configured budget.
 
-use crate::workspace::SimWorkspace;
 use rayon::pool;
 
 /// Deterministic parallel executor for independent scenario cells.
@@ -96,33 +95,6 @@ impl ScenarioRunner {
         F: Fn(usize, u64) -> T + Sync,
     {
         self.run(n, |i| f(i, cell_seed(base_seed, i as u64)))
-    }
-
-    /// [`ScenarioRunner::run`] with per-worker reusable state: each
-    /// worker thread holds one [`SimWorkspace`] and hands it to `f` for
-    /// every cell that worker claims, so cell-local allocations (event
-    /// queues, step pools, caches) amortize across the sweep. The
-    /// workspace [`reset` contract](crate::workspace) keeps results
-    /// byte-identical to the workspace-free form at any thread count.
-    pub fn run_with_workspace<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut SimWorkspace, usize) -> T + Sync,
-    {
-        pool::with_threads(self.threads, || {
-            pool::run_indexed_with(n, SimWorkspace::new, f)
-        })
-    }
-
-    /// [`ScenarioRunner::run_cells`] with per-worker reusable state
-    /// (see [`ScenarioRunner::run_with_workspace`]).
-    pub fn run_cells_with_workspace<C, T, F>(&self, cells: &[C], f: F) -> Vec<T>
-    where
-        C: Sync,
-        T: Send,
-        F: Fn(&mut SimWorkspace, usize, &C) -> T + Sync,
-    {
-        self.run_with_workspace(cells.len(), |ws, i| f(ws, i, &cells[i]))
     }
 }
 

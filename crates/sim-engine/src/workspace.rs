@@ -1,35 +1,36 @@
-//! Per-worker reusable simulation state: [`SimWorkspace`] is the bundle
-//! a sweep worker thread carries from cell to cell so that event-queue
-//! storage, step buffers and scratch maps are allocated once per worker
-//! instead of once per cell (the storage-node trace runner behind every
-//! weight sweep is the consumer).
+//! Reusable simulation state: [`SimWorkspace`] is the bundle a caller
+//! carries from one simulation run to the next so that event-queue
+//! storage, step buffers and scratch maps are allocated once per
+//! sequence of runs instead of once per run. The storage-node trace
+//! runner is the consumer: `storage_node::weight_sweep` keeps one
+//! workspace across the runs of a sweep, and callers of
+//! `storage_node::run_trace_windowed_in` pass their own.
 //!
 //! # Reset contract
 //!
-//! Sweep throughput must never buy nondeterminism. Every type stored in
-//! a workspace implements [`Scratch`]: `Default` construction plus a
+//! Reuse must never buy nondeterminism. Every type stored in a
+//! workspace implements [`Scratch`]: `Default` construction plus a
 //! `reset` that restores the **observable** `Default` state while
 //! keeping allocations. Consumers (`storage_node::run_trace_windowed_in`)
 //! call `reset` on their scratch **at the start of every run**, before
 //! any state is read — so even a scratch left dirty by a panicking or
-//! truncated previous cell cannot leak into the next one, and a cell's
-//! result stays a pure function of `(config, options, seed)` at any
-//! thread count. The workspace itself never calls `reset`; it only
-//! stores.
+//! truncated previous run cannot leak into the next one, and a run's
+//! result stays a pure function of `(config, options, seed)`. The
+//! workspace itself never calls `reset`; it only stores.
 //!
 //! # Keying
 //!
 //! Slots are keyed by type: each consumer defines one private scratch
 //! struct holding everything its run reuses and fetches it with
 //! [`SimWorkspace::slot`]. Different consumers compose in one workspace
-//! without coordination (a worker running two kinds of cells back to
+//! without coordination (a caller running two kinds of runs back to
 //! back holds one scratch of each type).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
-/// Reusable per-worker state: `Default`-constructible, and resettable
-/// to the observable `Default` state without releasing allocations.
+/// Reusable run state: `Default`-constructible, and resettable to the
+/// observable `Default` state without releasing allocations.
 ///
 /// `reset` must leave the value indistinguishable — through its public
 /// API and in every effect on a simulation — from `T::default()`.
@@ -38,10 +39,9 @@ pub trait Scratch: Default + Send + 'static {
     fn reset(&mut self);
 }
 
-/// A type-keyed store of [`Scratch`] values, one per worker thread (see
-/// module docs). Handed to each worker by
-/// [`crate::ScenarioRunner::run_with_workspace`] and reused across
-/// every cell that worker claims.
+/// A type-keyed store of [`Scratch`] values, reused across the runs its
+/// owner makes one after another (see module docs). It is `Send`, not
+/// shared: each thread that runs simulations holds its own.
 #[derive(Default)]
 pub struct SimWorkspace {
     slots: HashMap<TypeId, Box<dyn Any + Send>>,

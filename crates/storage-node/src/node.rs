@@ -4,8 +4,8 @@
 
 use nvme_queues::{FifoQueues, QueueDiscipline, SsqQueues};
 use serde::{Deserialize, Serialize};
-use sim_engine::{ProbeBuffer, SimTime, TraceRecord};
-use ssd_sim::{CommandCompletion, Ssd, SsdCommand, SsdConfig, SsdEvent, SsdStep};
+use sim_engine::{ProbeBuffer, SimTime};
+use ssd_sim::{Ssd, SsdCommand, SsdConfig, SsdEvent, SsdStep};
 use workload::{IoType, Request};
 
 /// Which submission-queue discipline a node runs.
@@ -52,8 +52,6 @@ pub struct StorageNode {
     /// Under FIFO this head-of-line-blocks writes too; under SSQ the
     /// write queue keeps flowing (paper Sec. II-B vs III-A).
     read_gate_open: bool,
-    /// Requests absorbed by block-layer merging.
-    merged: u64,
     /// Telemetry probes (fetch decisions, queue occupancy, SSD
     /// utilization); drained by the owning event loop.
     probes: ProbeBuffer,
@@ -77,7 +75,6 @@ impl StorageNode {
             disc,
             ssd: Ssd::new(cfg.ssd.clone()),
             read_gate_open: true,
-            merged: 0,
             probes: ProbeBuffer::default(),
             scope: 0,
             util_prev: None,
@@ -94,14 +91,8 @@ impl StorageNode {
         self.util_prev = None;
     }
 
-    /// Move pending probe records out, preserving record order.
-    pub fn drain_probes(&mut self) -> Vec<TraceRecord> {
-        self.probes.drain()
-    }
-
     /// Drain pending probe records straight into `sink`, preserving
-    /// order and the probe buffer's capacity (the hot-loop form of
-    /// [`StorageNode::drain_probes`]).
+    /// order and the probe buffer's capacity.
     pub fn drain_probes_into(&mut self, sink: &mut dyn sim_engine::TraceSink) {
         self.probes.drain_into(sink);
     }
@@ -142,14 +133,8 @@ impl StorageNode {
     /// was absorbed into an existing command, it will produce no
     /// separate completion.
     pub fn submit_into(&mut self, req: Request, now: SimTime, step: &mut SsdStep) {
-        let merged = self.disc.enqueue_or_merge(req);
-        self.merged += merged as u64;
+        self.disc.enqueue_or_merge(req);
         self.pump_into(now, step);
-    }
-
-    /// Requests absorbed by merging so far.
-    pub fn merged(&self) -> u64 {
-        self.merged
     }
 
     /// Advance on a device event, appending completions and new events
@@ -202,11 +187,6 @@ impl StorageNode {
         self.read_gate_open = open;
     }
 
-    /// Whether the read gate is open.
-    pub fn read_gate_open(&self) -> bool {
-        self.read_gate_open
-    }
-
     /// Change the SSQ weight ratio (no-op under FIFO).
     pub fn set_weight_ratio(&mut self, w: u32) {
         self.disc.set_weight_ratio(w);
@@ -215,6 +195,12 @@ impl StorageNode {
     /// Current weight ratio (1 under FIFO).
     pub fn weight_ratio(&self) -> u32 {
         self.disc.weight_ratio()
+    }
+
+    /// Track weighted-round-robin twins for `weights` (see
+    /// [`QueueDiscipline::track_twins`]; no-op under FIFO).
+    pub(crate) fn track_twins(&mut self, weights: &[u32]) {
+        self.disc.track_twins(weights);
     }
 
     /// Access the queueing discipline (read-only).
@@ -249,29 +235,11 @@ impl StorageNode {
     }
 }
 
-/// Extension trait: merge two [`SsdStep`]s (completions + schedules).
-pub trait StepMerge {
-    /// Append the completions and schedules of `other`.
-    fn merge_from(&mut self, other: SsdStep);
-}
-
-impl StepMerge for SsdStep {
-    fn merge_from(&mut self, other: SsdStep) {
-        self.completions.extend(other.completions);
-        self.releases.extend(other.releases);
-        self.schedule.extend(other.schedule);
-    }
-}
-
-/// Convenience: is this completion a read?
-pub fn is_read(c: &CommandCompletion) -> bool {
-    c.op.is_read()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_engine::EventQueue;
+    use ssd_sim::CommandCompletion;
     use workload::IoType;
 
     fn req(id: u64, op: IoType, size: u64) -> Request {
@@ -367,6 +335,32 @@ mod tests {
             ..NodeConfig::default()
         });
         assert_eq!(fifo.weight_ratio(), 1);
+    }
+
+    #[test]
+    fn set_weight_ratio_drops_twins() {
+        let mut node = StorageNode::new(&NodeConfig {
+            discipline: DisciplineKind::Ssq { weight: 2 },
+            ..NodeConfig::default()
+        });
+        node.track_twins(&[1, 4, 8]);
+        assert_eq!(
+            node.discipline().twins(),
+            vec![1, 4, 8],
+            "no fetch has told them apart"
+        );
+        node.set_weight_ratio(4);
+        assert!(node.discipline().twins().is_empty());
+    }
+
+    #[test]
+    fn fifo_has_no_twins() {
+        let mut fifo = StorageNode::new(&NodeConfig {
+            discipline: DisciplineKind::Fifo,
+            ..NodeConfig::default()
+        });
+        fifo.track_twins(&[2, 3]);
+        assert!(fifo.discipline().twins().is_empty());
     }
 
     #[test]

@@ -44,14 +44,7 @@ impl Scratch for TraceScratch {
 /// meaningful only when the workload keeps the device busy for most of
 /// the run.
 pub fn run_trace(cfg: &NodeConfig, trace: &Trace) -> NodeReport {
-    run_trace_impl(
-        cfg,
-        trace,
-        &[],
-        None,
-        &mut SimWorkspace::new(),
-        &mut NullSink,
-    )
+    run_trace_with_schedule(cfg, trace, &[])
 }
 
 /// Run a trace and stop the clock at the last arrival: steady-state
@@ -63,13 +56,21 @@ pub fn run_trace_windowed(cfg: &NodeConfig, trace: &Trace) -> NodeReport {
     run_trace_windowed_in(cfg, trace, &mut SimWorkspace::new())
 }
 
-/// [`run_trace_windowed`] against caller-provided per-worker scratch
-/// storage (event queue, step buffer, submit-time map): the form sweep
-/// workers use so every cell after a worker's first reuses the same
-/// allocations. The scratch is fully reset at the start of every run,
-/// so the report is identical to [`run_trace_windowed`]'s.
+/// [`run_trace_windowed`] against caller-provided scratch storage
+/// (event queue, step buffer, submit-time map), so that runs after the
+/// first reuse the same allocations. The scratch is fully reset at the
+/// start of every run, so the report is identical to
+/// [`run_trace_windowed`]'s.
 pub fn run_trace_windowed_in(cfg: &NodeConfig, trace: &Trace, ws: &mut SimWorkspace) -> NodeReport {
-    run_trace_impl(cfg, trace, &[], Some(trace.span()), ws, &mut NullSink)
+    run_trace_impl(
+        cfg,
+        trace,
+        &[],
+        Some(trace.span()),
+        ws,
+        &mut NullSink,
+        &mut Vec::new(),
+    )
 }
 
 /// Windowed run with scripted weight changes (see
@@ -92,6 +93,7 @@ pub fn run_trace_windowed_with_schedule(
         Some(trace.span()),
         &mut SimWorkspace::new(),
         sink,
+        &mut Vec::new(),
     )
 }
 
@@ -110,19 +112,26 @@ pub fn run_trace_with_schedule(
         None,
         &mut SimWorkspace::new(),
         &mut NullSink,
+        &mut Vec::new(),
     )
 }
 
-fn run_trace_impl(
+/// The one run loop behind every entry point. `twins` holds weights to
+/// track as twins of the configured SSQ weight (see
+/// [`nvme_queues::QueueDiscipline::track_twins`]); on return it holds
+/// the survivors, whose own runs would have produced this report.
+pub(crate) fn run_trace_impl(
     cfg: &NodeConfig,
     trace: &Trace,
     weight_schedule: &[(SimTime, u32)],
     horizon: Option<SimTime>,
     ws: &mut SimWorkspace,
     sink: &mut dyn TraceSink,
+    twins: &mut Vec<u32>,
 ) -> NodeReport {
     let tracing = sink.enabled();
     let mut node = StorageNode::new(cfg);
+    node.track_twins(twins);
     if tracing {
         node.set_telemetry(true, 0);
     }
@@ -224,6 +233,7 @@ fn run_trace_impl(
         );
     }
     report.ssd = node.ssd().stats();
+    *twins = node.discipline().twins();
     if tracing {
         let stats = report.ssd;
         sink.count(("ssd", 0, "reads_completed"), stats.reads_completed);
@@ -486,6 +496,7 @@ mod tests {
                 horizon,
                 &mut SimWorkspace::new(),
                 &mut NullSink,
+                &mut Vec::new(),
             );
             assert_same_report(&streamed, &oracle);
             assert_eq!(streamed.weight_changes.len(), schedule.len());

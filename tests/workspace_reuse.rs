@@ -1,5 +1,5 @@
 //! The workspace-reuse purity contract (see
-//! `sim-engine/src/workspace.rs`): handing the SAME per-worker
+//! `sim-engine/src/workspace.rs`): handing the SAME
 //! [`SimWorkspace`] to many storage-node runs back-to-back — different
 //! weights and traces — must produce results byte-identical to building
 //! fresh state for every run. The scratch reset at the start of each run
